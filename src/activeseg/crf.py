@@ -6,15 +6,23 @@ a foreground-probability map.  Two message-passing paths are provided:
 
 * exact: all-pairs kernel sums, the ground-truth oracle (small images);
 * windowed: truncated kernels (radius 3 sigma, capped at the image extent),
-  separable filtering for the spatial kernel.
+  separable filtering for the spatial kernel.  The bilateral range weights
+  ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, for half
+  of the offsets (the kernel is symmetric), and shared by both labels and
+  every mean-field step.  Each step still visits every offset in the window,
+  so its cost stays O(r**2 * H * W) for window radius r; the published
+  SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
+  bilateral grid or permutohedral lattice replaces the window.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d
 
 from .core import BinaryMask, ImageGrid, ProbMap
@@ -50,6 +58,8 @@ class CrfParams:
         for name in ("gaussian_compat", "bilateral_compat"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
@@ -64,18 +74,6 @@ class CrfParams:
             self.steps,
         )
         return "\n".join(f"{k}={v!r}" for k, v in zip(_PARAM_KEYS, values)) + "\n"
-
-    def scaled(self, factor: float) -> "CrfParams":
-        """Spatial kernel widths scaled by `factor` (for re-targeting the
-        published full-resolution centers to small rasters); everything else
-        unchanged."""
-        from dataclasses import replace
-
-        return replace(
-            self,
-            gaussian_sdims=self.gaussian_sdims * factor,
-            bilateral_sdims=self.bilateral_sdims * factor,
-        )
 
     @staticmethod
     def from_text(text: str) -> "CrfParams":
@@ -175,24 +173,59 @@ def _gaussian_message(q_l: np.ndarray, sdims: float) -> np.ndarray:
     return acc - q_l  # remove the self term (kernel value 1 at zero offset)
 
 
-def _bilateral_message(q_l: np.ndarray, image: np.ndarray, sdims: float, schan: float) -> np.ndarray:
-    """Windowed bilateral sum_j k(i, j) q_j, excluding j = i."""
-    h, w = q_l.shape
-    radius = _kernel_radius(sdims, q_l.shape)
-    acc = np.zeros_like(q_l)
+def _spans(d: int, n: int) -> tuple[slice, slice]:
+    """Target and source index ranges along an axis of length n for offset d."""
+    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
+
+
+def _bilateral_table(image: np.ndarray, sdims: float, schan: float):
+    """Windowed bilateral kernel k(i, i + o) for every offset o = (dy, dx),
+    as (weights, target, source) in row-major offset order, (0, 0) excluded.
+
+    Only the half with dy > 0, or dy = 0 and dx > 0, is computed; offset -o
+    reuses the array of o, because k(i, i + o) = k(i + o, i) bit for bit
+    ((a - b)**2 == (b - a)**2 in IEEE arithmetic).  Offsets longer than an
+    axis pair no pixels and are left out.
+    """
+    h, w = image.shape
+    radius = _kernel_radius(sdims, image.shape)
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
+    rows = {dy: _spans(dy, h) for dy in range(-ry, ry + 1)}
+    cols = {dx: _spans(dx, w) for dx in range(-rx, rx + 1)}
     inv_spatial = 1.0 / (2.0 * sdims**2)
     inv_chan = 1.0 / (2.0 * schan**2)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
+    padded = np.pad(image, ((0, 0), (rx, rx)), constant_values=np.nan)
+    half = {}
+    for dy in range(ry + 1):
+        first = -rx if dy > 0 else 1
+        dxs = range(first, rx + 1)
+        ws = np.array([np.exp(-(dy * dy + dx * dx) * inv_spatial) for dx in dxs])
+        # near[k, y, x] = image[y + dy, x + dx] for dx = k - rx (NaN off the raster)
+        near = sliding_window_view(padded[dy:], 2 * rx + 1, axis=1).transpose(2, 0, 1)
+        diff = image[: h - dy] - near[rx + first :]
+        weights = ws[:, None, None] * np.exp(-(diff**2) * inv_chan)
+        for k, dx in enumerate(dxs):
+            half[dy, dx] = weights[k, :, cols[dx][0]].copy()
+    table = []
+    for dy, (tgt_r, src_r) in rows.items():
+        for dx, (tgt_c, src_c) in cols.items():
             if dy == 0 and dx == 0:
                 continue
-            ws = np.exp(-(dy * dy + dx * dx) * inv_spatial)
-            tgt_r = slice(max(0, -dy), h - max(0, dy))
-            src_r = slice(max(0, dy), h - max(0, -dy))
-            tgt_c = slice(max(0, -dx), w - max(0, dx))
-            src_c = slice(max(0, dx), w - max(0, -dx))
-            diff = image[tgt_r, tgt_c] - image[src_r, src_c]
-            acc[tgt_r, tgt_c] += ws * np.exp(-(diff**2) * inv_chan) * q_l[src_r, src_c]
+            weights = half[dy, dx] if (dy, dx) in half else half[-dy, -dx]
+            table.append((weights, (slice(None), tgt_r, tgt_c), (slice(None), src_r, src_c)))
+    return table
+
+
+def _bilateral_messages(q: np.ndarray, table) -> np.ndarray:
+    """Windowed bilateral sum_j k(i, j) q[l, j] for each channel l of q
+    (shape (L, H, W)), excluding j = i.
+
+    Every pixel adds its terms in the table's row-major offset order; the
+    recorded reference outcomes depend on those exact float bits.
+    """
+    acc = np.zeros_like(q)
+    for weights, target, source in table:
+        acc[target] += weights * q[source]
     return acc
 
 
@@ -235,6 +268,57 @@ def gibbs_energy(y: BinaryMask, image: ImageGrid, p: ProbMap, params: CrfParams)
     return energy
 
 
+def _potts_messages(image: np.ndarray, params: CrfParams, method: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Map from a field q (H, W, 2) to its Potts messages (H, W, 2).
+
+    Everything that depends only on the image and the parameters (the exact
+    kernel matrices, the windowed bilateral weights) is built here, once, and
+    reused by every call.
+    """
+    if method not in ("exact", "windowed"):
+        raise ValueError(f"unknown method {method!r}")
+    h, w = image.shape
+    if method == "exact":
+        _check_exact_size((h, w), "exact meanfield_step")
+        k_gauss, k_bilat = _exact_kernel_matrices(image, params)
+
+        def exact(q: np.ndarray) -> np.ndarray:
+            messages = np.zeros((h, w, 2))
+            q_flat = q.reshape(h * w, 2)
+            for weight, kernel in (
+                (params.gaussian_compat, k_gauss),
+                (params.bilateral_compat, k_bilat),
+            ):
+                if weight == 0.0:
+                    continue
+                summed = kernel @ q_flat - q_flat  # exclude j = i (kernel diagonal is 1)
+                # label l is penalized by mass on the other label (Potts)
+                messages[:, :, 0] += weight * summed[:, 1].reshape(h, w)
+                messages[:, :, 1] += weight * summed[:, 0].reshape(h, w)
+            return messages
+
+        return exact
+
+    table = None
+    if params.bilateral_compat > 0.0:
+        table = _bilateral_table(image, params.bilateral_sdims, params.bilateral_schan)
+
+    def windowed(q: np.ndarray) -> np.ndarray:
+        messages = np.zeros((h, w, 2))
+        # channel l holds the other label's marginal, which penalizes label l
+        bilateral = None if table is None else _bilateral_messages(np.ascontiguousarray(q[:, :, ::-1].transpose(2, 0, 1)), table)
+        for label in (0, 1):
+            msg = np.zeros((h, w))
+            if params.gaussian_compat > 0.0:
+                msg += params.gaussian_compat * _gaussian_message(q[:, :, 1 - label], params.gaussian_sdims)
+            if bilateral is not None:
+                msg += params.bilateral_compat * bilateral[label]
+            messages[:, :, label] = msg
+        return messages
+
+    return windowed
+
+
 def meanfield_step(
     Q: MarginalField,
     image: ImageGrid,
@@ -247,50 +331,25 @@ def meanfield_step(
     method "exact" sums messages over all pixel pairs (oracle path, small
     images only); "windowed" truncates both kernels at radius 3 sigma.
     """
-    if method not in ("exact", "windowed"):
-        raise ValueError(f"unknown method {method!r}")
     h, w = image.height, image.width
     if Q.q.shape[:2] != (h, w) or unary.shape != (h, w, 2):
         raise ValueError("field, image, and unary dimensions must agree")
-
-    messages = np.zeros((h, w, 2))
-    if method == "exact":
-        _check_exact_size((h, w), "exact meanfield_step")
-        k_gauss, k_bilat = _exact_kernel_matrices(image.values, params)
-        q_flat = Q.q.reshape(h * w, 2)
-        for weight, kernel in (
-            (params.gaussian_compat, k_gauss),
-            (params.bilateral_compat, k_bilat),
-        ):
-            if weight == 0.0:
-                continue
-            summed = kernel @ q_flat - q_flat  # exclude j = i (kernel diagonal is 1)
-            # label l is penalized by mass on the other label (Potts)
-            messages[:, :, 0] += weight * summed[:, 1].reshape(h, w)
-            messages[:, :, 1] += weight * summed[:, 0].reshape(h, w)
-    else:
-        for label in (0, 1):
-            other = Q.q[:, :, 1 - label]
-            msg = np.zeros((h, w))
-            if params.gaussian_compat > 0.0:
-                msg += params.gaussian_compat * _gaussian_message(other, params.gaussian_sdims)
-            if params.bilateral_compat > 0.0:
-                msg += params.bilateral_compat * _bilateral_message(
-                    other, image.values, params.bilateral_sdims, params.bilateral_schan
-                )
-            messages[:, :, label] = msg
-
-    return MarginalField(_softmax2(-unary - messages))
+    messages = _potts_messages(image.values, params, method)
+    return MarginalField(_softmax2(-unary - messages(Q.q)))
 
 
 def infer(image: ImageGrid, p: ProbMap, params: CrfParams, method: str = "windowed") -> BinaryMask:
     """Mean-field decode: init from unaries, run params.steps updates, argmax.
 
-    Argmax ties resolve to foreground, so with zero pairwise weights the
-    result equals thresholding the input map at 0.5.
+    The messages' image-dependent weights are built once per call and shared
+    by every step.  Argmax ties resolve to foreground, so with zero pairwise
+    weights the result equals thresholding the input map at 0.5.
     """
+    if p.values.shape != image.values.shape:
+        raise ValueError("field, image, and unary dimensions must agree")
     unary = unary_from_prob(p)
+    messages = _potts_messages(image.values, params, method)
     field = initial_field(unary)
     for _ in range(params.steps):
-        field = meanfield_step(field, image, unary, params, method=method)
+        field = MarginalField(_softmax2(-unary - messages(field.q)))
     return BinaryMask((field.q[:, :, 1] >= field.q[:, :, 0]).astype(np.uint8))

@@ -1,8 +1,12 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
+from activeseg.alloop import ALConfig
 from activeseg.core import BinaryMask, ImageGrid, ProbMap, binarize, dice
 from activeseg.crf import (
     BONE_AGE_CENTER,
@@ -15,6 +19,7 @@ from activeseg.crf import (
     meanfield_step,
     unary_from_prob,
 )
+from activeseg.weaklabeler import PerturbSpec, build_ensemble
 
 
 def brute_force_step(q, image, unary, params):
@@ -57,6 +62,12 @@ class TestParams:
             CrfParams(1.0, -0.1, 1.0, 1.0, 1.0, 1)
         with pytest.raises(ValueError):
             CrfParams(1.0, 1.0, 1.0, 1.0, 1.0, 0)
+
+    def test_steps_must_be_an_integer(self):
+        for bad in (2.5, True, "2", None):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                CrfParams(1.0, 1.0, 1.0, 1.0, 1.0, bad)
+        assert CrfParams(1.0, 1.0, 1.0, 1.0, 1.0, np.int64(2)).steps == 2
 
     def test_text_roundtrip(self):
         p = CrfParams(29.93, 9.06, 28.19, 5.59, 9.46, 2)
@@ -166,8 +177,10 @@ class TestMeanFieldStep:
 
     def test_windowed_close_to_exact(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            image, p = random_case(rng, 6, 6)
+        # all but the first raster are thinner than most kernel radii drawn
+        # here: offsets longer than a side pair no pixels
+        for shape, _ in itertools.product([(6, 6), (2, 6), (3, 6), (6, 3), (6, 2), (3, 5)], range(5)):
+            image, p = random_case(rng, *shape)
             params = CrfParams(
                 gaussian_sdims=rng.uniform(1.0, 3.0),
                 gaussian_compat=rng.uniform(0.0, 2.0),
@@ -254,3 +267,74 @@ class TestInfer:
             after = dice(refined, BinaryMask(clean))
             improvements += after > before
         assert improvements >= 8
+
+
+def window_radius(sdims, shape):
+    return min(math.ceil(3.0 * sdims), max(shape) - 1)
+
+
+class TestThinRasters:
+    """Rasters with a side shorter than the kernel radius: offsets longer
+    than that side pair no pixels.  The window cuts the long side, so the
+    reference is the all-pairs oracle cut to the same window."""
+
+    @pytest.mark.parametrize("shape", [(3, 40), (40, 3)])
+    def test_default_center_matches_window_cut_oracle(self, shape):
+        center = ALConfig().crf_center
+        rng = np.random.default_rng(9)
+        image, p = random_case(rng, *shape)
+        u = unary_from_prob(p)
+        q = initial_field(u)
+        radii = (
+            window_radius(center.gaussian_sdims, shape),
+            window_radius(center.bilateral_sdims, shape),
+        )
+        assert radii[1] > min(shape)
+        for _ in range(center.steps):
+            ours = meanfield_step(q, image, u, center)
+            ref = oracles.brute_force_meanfield_step(q.q, image.values, u, center, radii)
+            np.testing.assert_allclose(ours.q, ref, atol=1e-9)
+            q = ours
+        mask = infer(image, p, center)
+        assert mask.values.shape == shape
+
+
+def bit_identity_params():
+    """The default center, its five perturbed members, and each compat at 0."""
+    center = ALConfig().crf_center
+    members = build_ensemble(center, 5, PerturbSpec(), 0).members
+    return (
+        [center, *members]
+        + [replace(center, gaussian_compat=0.0), replace(center, bilateral_compat=0.0)]
+        + [replace(center, gaussian_compat=0.0, bilateral_compat=0.0)]
+    )
+
+
+class TestWindowedBitIdentity:
+    """The windowed path against the earlier per-offset loop, kept verbatim
+    in oracles.py: same floats in the same order, so equal bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (8, 20), (17, 23), (32, 32)])
+    def test_fields_and_masks_equal(self, shape):
+        rng = np.random.default_rng(10)
+        compared = 0
+        for params in bit_identity_params():
+            image, p = random_case(rng, *shape)
+            u = unary_from_prob(p)
+            q = initial_field(u)
+            radius = window_radius(params.bilateral_sdims, shape)
+            if params.bilateral_compat > 0.0 and any(1 < n < radius for n in shape):
+                # the per-offset loop cannot decode a raster thinner than its
+                # kernel radius (negative slice stops); TestThinRasters covers these
+                with pytest.raises(ValueError, match="broadcast"):
+                    oracles.per_offset_windowed_step(q.q, image.values, u, params)
+                continue
+            for _ in range(params.steps):
+                ours = meanfield_step(q, image, u, params, method="windowed")
+                ref = oracles.per_offset_windowed_step(q.q, image.values, u, params)
+                assert np.array_equal(ours.q, ref)
+                q = ours
+            mask = infer(image, p, params)
+            assert np.array_equal(mask.values, oracles.per_offset_windowed_infer(image.values, u, params))
+            compared += 1
+        assert compared >= 8

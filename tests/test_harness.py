@@ -242,3 +242,14 @@ class TestCli:
     def test_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 1
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_crf_steps_is_one_line_error(self, tmp_path, capsys, value):
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"crf.steps={value}\n")
+        rc = cli.main(["run", "--config", cfg_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: steps must be an integer")
