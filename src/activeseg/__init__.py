@@ -5,7 +5,7 @@ uncertain samples go to a simulated oracle, confident ones to a CRF-ensemble
 weak labeler, and the model is fine-tuned on the growing labeled set.
 """
 
-from .alloop import ALConfig, DatasetSplit, IterationRecord, RunResult, oracle_label, run, run_detailed
+from .alloop import ALConfig, DatasetSplit, IterationRecord, RunResult, oracle_label, run_detailed
 from .core import (
     BinaryMask,
     ImageGrid,

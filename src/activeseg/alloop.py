@@ -70,6 +70,10 @@ class ALConfig:
             raise ValueError("query sizes must be nonnegative")
         if self.pseudo_start_iter < 1:
             raise ValueError("pseudo_start_iter counts from iteration 1")
+        if self.bins < 2:
+            raise ValueError(f"need at least 2 histogram bins, got {self.bins}")
+        if self.ensemble_size < 1 or self.ensemble_size % 2 == 0:
+            raise ValueError(f"ensemble size must be odd and >= 1, got {self.ensemble_size}")
         if self.query_strategy not in QUERY_STRATEGIES:
             raise ValueError(f"query_strategy must be one of {QUERY_STRATEGIES}")
 
@@ -241,11 +245,6 @@ def _correlation_rows(
         r_dsc = dice(binarize(pred.final, 0.5), s.require_ground_truth())
         rows.append((iteration, s.id, sc.mean_dsc, r_dsc))
     return rows
-
-
-def run(split: DatasetSplit, cfg: ALConfig) -> list[IterationRecord]:
-    """Algorithm view of the loop: just the per-iteration records."""
-    return list(run_detailed(split, cfg).records)
 
 
 def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:

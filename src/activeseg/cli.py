@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,13 +35,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = harness.parse_config(args.config)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    if args.seed is not None:
-        al = replace(cfg.al, seed=args.seed,
-                     finetune=replace(cfg.al.finetune, seed=args.seed),
-                     base_train=replace(cfg.al.base_train_config(), seed=args.seed))
-        cfg = replace(cfg, al=al)
+    cfg = harness.with_keys(cfg, {"seed": args.seed, "output.dir": args.out})
     results = harness.run_experiment(cfg)
     for name, result in results.items():
         final = result.records[-1].test_dsc if result.records else result.base_test_dsc
@@ -99,14 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = harness.default_experiment().dataset
     g = sub.add_parser("generate", help="write a synthetic PGM dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int, default=340)
-    g.add_argument("--size", type=int, default=32)
-    g.add_argument("--shape", choices=harness.SHAPE_KINDS, default="blob")
-    g.add_argument("--noise", type=float, default=0.1)
-    g.add_argument("--occlusion", type=float, default=0.3)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n", type=int, default=spec.n_samples)
+    g.add_argument("--size", type=int, default=spec.image_size)
+    g.add_argument("--shape", choices=harness.SHAPE_KINDS, default=spec.shape)
+    g.add_argument("--noise", type=float, default=spec.noise_level)
+    g.add_argument("--occlusion", type=float, default=spec.occlusion_prob)
+    g.add_argument("--seed", type=int, default=spec.seed)
     g.set_defaults(func=_cmd_generate)
 
     r = sub.add_parser("run", help="run an experiment from a config file")

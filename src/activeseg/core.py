@@ -67,9 +67,6 @@ class BinaryMask:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def foreground_count(self) -> int:
-        return int(self.values.sum())
-
 
 @dataclass(frozen=True)
 class ProbMap:

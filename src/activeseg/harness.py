@@ -140,21 +140,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def default_experiment(output_dir: str = "out", seed: int = 0) -> ExperimentConfig:
-    """The desk-scale preset (see module docstring)."""
-    finetune = TrainConfig(epochs=6, learning_rate=0.5, batch_size=2,
-                           loss_kind="cross_entropy", seed=seed)
-    return ExperimentConfig(
-        dataset=SyntheticSpec(n_samples=340, image_size=32, shape="blob",
-                              noise_level=0.15, occlusion_prob=0.9, seed=seed),
-        n_initial=40,
-        n_pool=200,
-        n_test=100,
-        al=ALConfig(seed=seed, finetune=finetune, base_train=replace(finetune, epochs=12)),
-        output_dir=output_dir,
-    )
-
-
 def load_samples(cfg: ExperimentConfig) -> list[Sample]:
     if isinstance(cfg.dataset, SyntheticSpec):
         return generate_synthetic(cfg.dataset)
@@ -181,104 +166,140 @@ def make_split(samples: Sequence[Sample], cfg: ExperimentConfig) -> DatasetSplit
 # ---------------------------------------------------------------------------
 
 
-def _parse_scalar(value: str):
-    v = value.strip()
-    if v.lower() in ("true", "false"):
-        return v.lower() == "true"
+DATASET_KINDS = SYNTHETIC, DIRECTORY = ("synthetic", "directory")
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: the type of its value, its default, and the
+    ExperimentConfig fields it sets, as attribute paths."""
+
+    name: str
+    type: type  # int, float, bool or str
+    default: object
+    fields: Tuple[str, ...]
+    kind: Optional[str] = None  # the only dataset kind that takes the key
+
+
+# One row per key, in echo order.  The defaults are the desk-scale preset.
+CONFIG_KEYS = (
+    ConfigKey("dataset.kind", str, SYNTHETIC, ()),
+    ConfigKey("dataset.dir", str, ".", ("dataset",), DIRECTORY),
+    ConfigKey("dataset.n_samples", int, 340, ("dataset.n_samples",), SYNTHETIC),
+    ConfigKey("dataset.image_size", int, 32, ("dataset.image_size",), SYNTHETIC),
+    ConfigKey("dataset.shape", str, "blob", ("dataset.shape",), SYNTHETIC),
+    ConfigKey("dataset.noise_level", float, 0.15, ("dataset.noise_level",), SYNTHETIC),
+    ConfigKey("dataset.occlusion_prob", float, 0.9, ("dataset.occlusion_prob",), SYNTHETIC),
+    ConfigKey("dataset.seed", int, 0, ("dataset.seed",), SYNTHETIC),
+    ConfigKey("split.initial", int, 40, ("n_initial",)),
+    ConfigKey("split.pool", int, 200, ("n_pool",)),
+    ConfigKey("split.test", int, 100, ("n_test",)),
+    ConfigKey("al.iterations", int, 8, ("al.iterations",)),
+    ConfigKey("al.k_strong", int, 20, ("al.k_strong",)),
+    ConfigKey("al.k_weak", int, 10, ("al.k_weak",)),
+    ConfigKey("al.bins", int, 10, ("al.bins",)),
+    ConfigKey("al.pseudo_start_iter", int, 3, ("al.pseudo_start_iter",)),
+    ConfigKey("al.strategy", str, "uncertainty", ("al.query_strategy",)),
+    ConfigKey("al.target_dsc", float, None, ("al.target_dsc",)),
+    ConfigKey("train.base_epochs", int, 12, ("al.base_train.epochs",)),
+    ConfigKey("train.finetune_epochs", int, 6, ("al.finetune.epochs",)),
+    ConfigKey("train.learning_rate", float, 0.5, ("al.finetune.learning_rate", "al.base_train.learning_rate")),
+    ConfigKey("train.batch_size", int, 2, ("al.finetune.batch_size", "al.base_train.batch_size")),
+    ConfigKey("train.loss", str, "cross_entropy", ("al.finetune.loss_kind", "al.base_train.loss_kind")),
+    ConfigKey("loss.alpha_l", float, 0.1, ("al.loss_weights.alpha_l",)),
+    ConfigKey("loss.alpha_m", float, 0.3, ("al.loss_weights.alpha_m",)),
+    ConfigKey("loss.alpha_f", float, 0.6, ("al.loss_weights.alpha_f",)),
+    ConfigKey("crf.gaussian.sdims", float, 1.5, ("al.crf_center.gaussian_sdims",)),
+    ConfigKey("crf.gaussian.compat", float, 0.4, ("al.crf_center.gaussian_compat",)),
+    ConfigKey("crf.bilateral.sdims", float, 2.5, ("al.crf_center.bilateral_sdims",)),
+    ConfigKey("crf.bilateral.schan", float, 0.15, ("al.crf_center.bilateral_schan",)),
+    ConfigKey("crf.bilateral.compat", float, 0.6, ("al.crf_center.bilateral_compat",)),
+    ConfigKey("crf.steps", int, 2, ("al.crf_center.steps",)),
+    ConfigKey("ensemble.members", int, 5, ("al.ensemble_size",)),
+    ConfigKey("ensemble.relative_sigma", float, 0.05, ("al.perturb.relative_sigma",)),
+    ConfigKey("ensemble.floor", float, 0.001, ("al.perturb.floor",)),
+    ConfigKey("ensemble.perturb_steps", bool, False, ("al.perturb.perturb_steps",)),
+    ConfigKey("ensemble.rounds", int, 3, ("al.ensemble_rounds",)),
+    ConfigKey("ablation.pseudo_labels", bool, True, ("al.pseudo_labels",)),
+    ConfigKey("ablation.confidence_filter", bool, True, ("al.confidence_filter",)),
+    ConfigKey("ablation.ensemble_crf", bool, True, ("al.ensemble_crf",)),
+    ConfigKey("baseline.random", bool, False, ("with_baseline",)),
+    ConfigKey("seed", int, 0, ("al.seed", "al.finetune.seed", "al.base_train.seed")),
+    ConfigKey("output.dir", str, "out", ("output_dir",)),
+)
+_KEYS = {key.name: key for key in CONFIG_KEYS}
+# the dataclass behind each field path prefix; "" is the experiment itself
+_SECTIONS = {
+    "": ExperimentConfig,
+    "dataset": SyntheticSpec,
+    "al": ALConfig,
+    "al.finetune": TrainConfig,
+    "al.base_train": TrainConfig,
+    "al.loss_weights": LossWeights,
+    "al.crf_center": CrfParams,
+    "al.perturb": PerturbSpec,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _build(tree: dict, path: str = ""):
+    """The dataclass at ``path`` from a nested dict of its field values."""
+    kwargs = {name: _build(sub, f"{path}.{name}".lstrip(".")) if isinstance(sub, dict) else sub
+              for name, sub in tree.items()}
+    return _SECTIONS[path](**kwargs)
+
+
+def _experiment(values: dict) -> ExperimentConfig:
+    """The experiment that sets each key in ``values`` to its typed value
+    and every other key to its default."""
+    kind = values.get("dataset.kind", SYNTHETIC)
+    if kind not in DATASET_KINDS:
+        raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
+    keys = [key for key in CONFIG_KEYS if key.kind in (None, kind)]
+    unknown = set(values) - {key.name for key in keys}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    tree: dict = {}
+    for key in keys:
+        value = values.get(key.name, key.default)
+        for path in key.fields:
+            *sections, leaf = path.split(".")
+            node = tree
+            for name in sections:
+                node = node.setdefault(name, {})
+            node[leaf] = value
+    return _build(tree)
+
+
+def default_experiment(output_dir: Optional[str] = None, seed: Optional[int] = None) -> ExperimentConfig:
+    """The desk-scale preset (see module docstring): every key at its
+    default, except that ``seed`` seeds the corpus as well as the loop."""
+    return with_keys(_experiment({}), {"seed": seed, "dataset.seed": seed, "output.dir": output_dir})
+
+
+def _convert(key: ConfigKey, text: str):
+    """The value of ``key`` written as ``text``; an empty optional key is unset."""
     try:
-        return int(v)
-    except ValueError:
-        pass
-    try:
-        return float(v)
-    except ValueError:
-        return v
+        if key.type is bool:
+            return {"true": True, "false": False}[text.lower()]
+        return None if text == "" and key.default is None else key.type(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key.name.rpartition('.')[2]} must be {_TYPE_NAMES[key.type]}, "
+                         f"got {text!r} (config key {key.name})") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    kv = {}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = _parse_scalar(value)
-
-    def take(key, default):
-        return kv.pop(key, default)
-
-    seed = take("seed", 0)
-    if take("dataset.kind", "synthetic") == "synthetic":
-        dataset: Union[SyntheticSpec, str] = SyntheticSpec(
-            n_samples=take("dataset.n_samples", 340),
-            image_size=take("dataset.image_size", 32),
-            shape=take("dataset.shape", "blob"),
-            noise_level=float(take("dataset.noise_level", 0.15)),
-            occlusion_prob=float(take("dataset.occlusion_prob", 0.9)),
-            seed=take("dataset.seed", 0),
-        )
-    else:
-        dataset = str(take("dataset.dir", "."))
-
-    finetune = TrainConfig(
-        epochs=take("train.finetune_epochs", 6),
-        learning_rate=float(take("train.learning_rate", 0.5)),
-        batch_size=take("train.batch_size", 2),
-        loss_kind=take("train.loss", "cross_entropy"),
-        seed=seed,
-    )
-    base_train = replace(finetune, epochs=take("train.base_epochs", 12))
-    crf_center = CrfParams(
-        gaussian_sdims=float(take("crf.gaussian.sdims", 1.5)),
-        gaussian_compat=float(take("crf.gaussian.compat", 0.4)),
-        bilateral_sdims=float(take("crf.bilateral.sdims", 2.5)),
-        bilateral_schan=float(take("crf.bilateral.schan", 0.15)),
-        bilateral_compat=float(take("crf.bilateral.compat", 0.6)),
-        steps=take("crf.steps", 2),
-    )
-    target = take("al.target_dsc", "")
-    al = ALConfig(
-        iterations=take("al.iterations", 8),
-        k_strong=take("al.k_strong", 20),
-        k_weak=take("al.k_weak", 10),
-        bins=take("al.bins", 10),
-        pseudo_start_iter=take("al.pseudo_start_iter", 3),
-        finetune=finetune,
-        base_train=base_train,
-        loss_weights=LossWeights(
-            alpha_l=float(take("loss.alpha_l", 0.1)),
-            alpha_m=float(take("loss.alpha_m", 0.3)),
-            alpha_f=float(take("loss.alpha_f", 0.6)),
-        ),
-        crf_center=crf_center,
-        ensemble_size=take("ensemble.members", 5),
-        perturb=PerturbSpec(
-            relative_sigma=float(take("ensemble.relative_sigma", 0.05)),
-            floor=float(take("ensemble.floor", 1e-3)),
-            perturb_steps=take("ensemble.perturb_steps", False),
-        ),
-        ensemble_rounds=take("ensemble.rounds", 3),
-        seed=seed,
-        query_strategy=take("al.strategy", "uncertainty"),
-        pseudo_labels=take("ablation.pseudo_labels", True),
-        confidence_filter=take("ablation.confidence_filter", True),
-        ensemble_crf=take("ablation.ensemble_crf", True),
-        target_dsc=float(target) if target != "" else None,
-    )
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        n_initial=take("split.initial", 40),
-        n_pool=take("split.pool", 200),
-        n_test=take("split.test", 100),
-        al=al,
-        with_baseline=take("baseline.random", False),
-        output_dir=str(take("output.dir", "out")),
-    )
-    if kv:
-        raise ValueError(f"unknown config keys: {sorted(kv)}")
-    return cfg
+        name, _, value = line.partition("=")
+        name, value = name.strip(), value.strip()
+        values[name] = _convert(_KEYS[name], value) if name in _KEYS else value
+    return _experiment(values)
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -286,66 +307,35 @@ def parse_config(path: str) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+def _read(cfg: ExperimentConfig, path: str):
+    obj = cfg
+    for name in path.split("."):
+        # an unset base_train means "train the base model like finetune"
+        obj = obj.base_train_config() if name == "base_train" else getattr(obj, name)
+    return obj
+
+
+def _config_values(cfg: ExperimentConfig) -> dict:
+    """Every key that cfg sets, in table order, with its value."""
+    kind = SYNTHETIC if isinstance(cfg.dataset, SyntheticSpec) else DIRECTORY
+    values = {}
+    for key in CONFIG_KEYS:
+        if key.kind in (None, kind):
+            value = _read(cfg, key.fields[0]) if key.fields else kind
+            if value is not None:
+                values[key.name] = value
+    return values
+
+
 def echo_config(cfg: ExperimentConfig) -> str:
     """Canonical key=value dump; feeding it back reproduces the experiment."""
-    lines = []
-    if isinstance(cfg.dataset, SyntheticSpec):
-        d = cfg.dataset
-        lines += [
-            "dataset.kind=synthetic",
-            f"dataset.n_samples={d.n_samples}",
-            f"dataset.image_size={d.image_size}",
-            f"dataset.shape={d.shape}",
-            f"dataset.noise_level={d.noise_level!r}",
-            f"dataset.occlusion_prob={d.occlusion_prob!r}",
-            f"dataset.seed={d.seed}",
-        ]
-    else:
-        lines += ["dataset.kind=directory", f"dataset.dir={cfg.dataset}"]
-    al = cfg.al
-    ft = al.finetune
-    bt = al.base_train_config()
-    c = al.crf_center
-    lines += [
-        f"split.initial={cfg.n_initial}",
-        f"split.pool={cfg.n_pool}",
-        f"split.test={cfg.n_test}",
-        f"al.iterations={al.iterations}",
-        f"al.k_strong={al.k_strong}",
-        f"al.k_weak={al.k_weak}",
-        f"al.bins={al.bins}",
-        f"al.pseudo_start_iter={al.pseudo_start_iter}",
-        f"al.strategy={al.query_strategy}",
-        f"train.base_epochs={bt.epochs}",
-        f"train.finetune_epochs={ft.epochs}",
-        f"train.learning_rate={ft.learning_rate!r}",
-        f"train.batch_size={ft.batch_size}",
-        f"train.loss={ft.loss_kind}",
-        f"loss.alpha_l={al.loss_weights.alpha_l!r}",
-        f"loss.alpha_m={al.loss_weights.alpha_m!r}",
-        f"loss.alpha_f={al.loss_weights.alpha_f!r}",
-        f"crf.gaussian.sdims={c.gaussian_sdims!r}",
-        f"crf.gaussian.compat={c.gaussian_compat!r}",
-        f"crf.bilateral.sdims={c.bilateral_sdims!r}",
-        f"crf.bilateral.schan={c.bilateral_schan!r}",
-        f"crf.bilateral.compat={c.bilateral_compat!r}",
-        f"crf.steps={c.steps}",
-        f"ensemble.members={al.ensemble_size}",
-        f"ensemble.relative_sigma={al.perturb.relative_sigma!r}",
-        f"ensemble.floor={al.perturb.floor!r}",
-        f"ensemble.perturb_steps={al.perturb.perturb_steps}",
-        f"ensemble.rounds={al.ensemble_rounds}",
-        f"ablation.pseudo_labels={al.pseudo_labels}",
-        f"ablation.confidence_filter={al.confidence_filter}",
-        f"ablation.ensemble_crf={al.ensemble_crf}",
-        f"baseline.random={cfg.with_baseline}",
-        f"seed={al.seed}",
-        f"output.dir={cfg.output_dir}",
-    ]
-    if al.target_dsc is not None:
-        lines.insert(lines.index(f"al.strategy={al.query_strategy}") + 1,
-                     f"al.target_dsc={al.target_dsc!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name}={value}\n" for name, value in _config_values(cfg).items())
+
+
+def with_keys(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """cfg with the given keys set, as if they ended its config file; a key
+    given as None is left as it is."""
+    return _experiment({**_config_values(cfg), **{k: v for k, v in values.items() if v is not None}})
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(iterations=0)
 
+    @pytest.mark.parametrize("members", [0, 4])
+    def test_even_ensemble_rejected_before_the_loop(self, members):
+        with pytest.raises(ValueError, match=f"ensemble size must be odd and >= 1, got {members}"):
+            tiny_config(ensemble_size=members)
+
+    def test_single_bin_rejected_before_the_loop(self):
+        with pytest.raises(ValueError, match="need at least 2 histogram bins, got 1"):
+            tiny_config(bins=1)
+
     def test_split_needs_ground_truth(self):
         data = tiny_dataset(6)
         stripped = Sample(id="bare", image=data[0].image, ground_truth=None)

@@ -6,20 +6,25 @@ import pytest
 
 from activeseg import cli
 from activeseg.alloop import ALConfig
-from activeseg.core import binarize, load_dataset
+from activeseg.core import binarize, load_dataset, save_dataset
 from activeseg.crf import CrfParams
 from activeseg.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     SyntheticSpec,
+    default_experiment,
     echo_config,
     generate_synthetic,
     make_split,
     parse_config_text,
     report_correlation,
     run_experiment,
+    with_keys,
 )
 from activeseg.segmenter import TrainConfig
 from activeseg.weaklabeler import PerturbSpec
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 class TestGenerator:
@@ -116,6 +121,80 @@ class TestConfigRoundtrip:
         text = "# comment\n\nal.iterations=4\n"
         cfg = parse_config_text(text)
         assert cfg.al.iterations == 4
+
+    @pytest.mark.parametrize("value", ["False", "false"])
+    def test_booleans_in_any_case(self, value):
+        assert parse_config_text(f"ablation.pseudo_labels={value}\n").al.pseudo_labels is False
+
+    def test_default_echo_is_pinned(self):
+        assert echo_config(default_experiment("out", seed=0)) == DEFAULT_ECHO
+
+    def test_with_keys_fans_seed_out_and_skips_none(self, tmp_path):
+        cfg = tiny_experiment(tmp_path)
+        new = with_keys(cfg, {"seed": 9, "output.dir": None})
+        assert new.al.seed == new.al.finetune.seed == new.al.base_train.seed == 9
+        assert (new.dataset, new.output_dir) == (cfg.dataset, cfg.output_dir)
+        assert with_keys(new, {"seed": 0}) == cfg
+
+    def test_readme_table_matches_the_keys(self):
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().split("## Config file format")[1].split("\n## ")[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        documented = [(key.strip().strip("`"), default.strip()) for key, default in rows]
+
+        def shown(default):
+            if default is None:
+                return "unset"
+            if isinstance(default, bool):
+                return str(default).lower()
+            return f"`{default}`" if isinstance(default, str) else str(default)
+
+        assert documented == [(key.name, shown(key.default)) for key in CONFIG_KEYS]
+
+
+DEFAULT_ECHO = """\
+dataset.kind=synthetic
+dataset.n_samples=340
+dataset.image_size=32
+dataset.shape=blob
+dataset.noise_level=0.15
+dataset.occlusion_prob=0.9
+dataset.seed=0
+split.initial=40
+split.pool=200
+split.test=100
+al.iterations=8
+al.k_strong=20
+al.k_weak=10
+al.bins=10
+al.pseudo_start_iter=3
+al.strategy=uncertainty
+train.base_epochs=12
+train.finetune_epochs=6
+train.learning_rate=0.5
+train.batch_size=2
+train.loss=cross_entropy
+loss.alpha_l=0.1
+loss.alpha_m=0.3
+loss.alpha_f=0.6
+crf.gaussian.sdims=1.5
+crf.gaussian.compat=0.4
+crf.bilateral.sdims=2.5
+crf.bilateral.schan=0.15
+crf.bilateral.compat=0.6
+crf.steps=2
+ensemble.members=5
+ensemble.relative_sigma=0.05
+ensemble.floor=0.001
+ensemble.perturb_steps=False
+ensemble.rounds=3
+ablation.pseudo_labels=True
+ablation.confidence_filter=True
+ablation.ensemble_crf=True
+baseline.random=False
+seed=0
+output.dir=out
+"""
 
 
 class TestRunExperiment:
@@ -253,3 +332,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: steps must be an integer")
+
+    @pytest.mark.parametrize("line", [
+        "train.batch_size=2.5",
+        "seed=1.5",
+        "dataset.seed=x",
+        "split.pool=2.0",
+        "ablation.pseudo_labels=no",
+        "ensemble.perturb_steps=yes",
+        "dataset.kind=Synthetic",
+    ])
+    def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            # split.initial=0 fails later with another message, so a bad
+            # value let through fails this test instead of running the loop
+            fh.write(line + "\nsplit.initial=0\n")
+        rc = cli.main(["run", "--config", cfg_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert line.partition("=")[0] in err
+
+    def test_generate_defaults_are_the_default_corpus(self, tmp_path):
+        rc = cli.main(["generate", "--out", str(tmp_path / "cli"), "--n", "6", "--size", "16"])
+        assert rc == 0
+        spec = replace(default_experiment().dataset, n_samples=6, image_size=16)
+        save_dataset(str(tmp_path / "lib"), generate_synthetic(spec))
+        names = sorted(os.listdir(tmp_path / "lib" / "images"))
+        assert sorted(os.listdir(tmp_path / "cli" / "images")) == names
+        for path in ["manifest.txt"] + [f"{d}/{n}" for d in ("images", "masks") for n in names]:
+            assert (tmp_path / "cli" / path).read_bytes() == (tmp_path / "lib" / path).read_bytes(), path
