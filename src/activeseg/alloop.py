@@ -23,6 +23,7 @@ from .selection import QuerySplit, SampleScores
 from .weaklabeler import CrfEnsemble, PerturbSpec
 
 QUERY_STRATEGIES = ("uncertainty", "random")
+DscPair = Tuple[str, float, float]  # (sample id, mean_dsc, r_dsc)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ class IterationRecord:
     phase1_ms: float
     phase2_ms: float
     phase3_ms: float
+    test_pairs: Tuple[DscPair, ...]  # of the fine-tuned model, one per test sample
 
     def __post_init__(self):
         if not 0.0 <= self.test_dsc <= 1.0:
@@ -116,15 +118,18 @@ def oracle_label(sample: Sample) -> BinaryMask:
     return sample.require_ground_truth()
 
 
-def evaluate(params: SegmenterParams, samples: Sequence[Sample]) -> float:
-    """Mean Dice of the binarized final head against ground truth."""
+def evaluate(params: SegmenterParams, samples: Sequence[Sample]) -> Tuple[float, Tuple[DscPair, ...]]:
+    """Mean Dice of the binarized final head against ground truth, and per
+    sample its id, the selection proxy mean_dsc and that real Dice (r_dsc),
+    all from one forward pass per sample."""
     if len(samples) == 0:
         raise ValueError("evaluation set is empty")
-    scores = []
+    pairs = []
     for s in samples:
         pred = segmenter.predict(params, s.image)
-        scores.append(dice(binarize(pred.final, 0.5), s.require_ground_truth()))
-    return float(np.mean(scores))
+        r_dsc = dice(binarize(pred.final, 0.5), s.require_ground_truth())
+        pairs.append((s.id, selection.score_sample(pred, s.id).mean_dsc, r_dsc))
+    return float(np.mean([r_dsc for _, _, r_dsc in pairs])), tuple(pairs)
 
 
 def _score_pool(params: SegmenterParams, pool: Sequence[Sample]) -> list[SampleScores]:
@@ -202,16 +207,18 @@ def run_iteration(
     new_params = segmenter.train(params, _labeled_pairs(new_state), cfg.finetune, cfg.loss_weights)
     phase3 = time.perf_counter() - t0
 
+    test_dsc, test_pairs = evaluate(new_params, test_set)
     record = IterationRecord(
         iteration=t,
         strong_ids=split.strong_ids,
         weak_ids=split.weak_ids,
-        test_dsc=evaluate(new_params, test_set),
+        test_dsc=test_dsc,
         pool_remaining=len(new_state.unlabeled),
         labeled_total=len(new_state.labeled),
         phase1_ms=phase1 * 1000.0,
         phase2_ms=phase2 * 1000.0,
         phase3_ms=phase3 * 1000.0,
+        test_pairs=test_pairs,
     )
     return new_state, new_params, record, score_rows
 
@@ -235,18 +242,6 @@ class DatasetSplit:
                 raise ValueError(f"sample {s.id!r} needs ground truth for this split")
 
 
-def _correlation_rows(
-    iteration: int, params: SegmenterParams, held_out: Sequence[Sample]
-) -> list[Tuple[int, str, float, float]]:
-    rows = []
-    for s in held_out:
-        pred = segmenter.predict(params, s.image)
-        sc = selection.score_sample(pred, s.id)
-        r_dsc = dice(binarize(pred.final, 0.5), s.require_ground_truth())
-        rows.append((iteration, s.id, sc.mean_dsc, r_dsc))
-    return rows
-
-
 def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
     """Base-train on the initial labels, then iterate until the configured
     number of rounds, pool exhaustion, or the optional target Dice."""
@@ -256,13 +251,11 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
 
     params = segmenter.init_params(cfg.seed)
     params = segmenter.train(params, _labeled_pairs(state), cfg.base_train_config(), cfg.loss_weights)
-    base_dsc = evaluate(params, split.test)
+    base_dsc, base_pairs = evaluate(params, split.test)
 
     ensemble: Optional[CrfEnsemble] = None
     records: list[IterationRecord] = []
     score_rows: list[Tuple[int, SampleScores, str]] = []
-    correlation: list[Tuple[int, str, float, float]] = []
-    correlation.extend(_correlation_rows(0, params, split.test))
 
     for t in range(1, cfg.iterations + 1):
         if len(state.unlabeled) == 0:
@@ -278,7 +271,6 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
         state, params, record, rows = run_iteration(state, params, cfg, ensemble, split.test)
         records.append(record)
         score_rows.extend(rows)
-        correlation.extend(_correlation_rows(t, params, split.test))
         if cfg.target_dsc is not None and record.test_dsc >= cfg.target_dsc:
             break
 
@@ -288,7 +280,8 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
         ensemble=ensemble,
         base_test_dsc=base_dsc,
         score_rows=tuple(score_rows),
-        correlation_pairs=tuple(correlation),
+        correlation_pairs=tuple((0, *pair) for pair in base_pairs)
+        + tuple((r.iteration, *pair) for r in records for pair in r.test_pairs),
         final_pool=state,
     )
 

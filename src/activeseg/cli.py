@@ -39,7 +39,7 @@ def _cmd_run(args) -> int:
     results = harness.run_experiment(cfg)
     for name, result in results.items():
         final = result.records[-1].test_dsc if result.records else result.base_test_dsc
-        print(f"{name}: base_dsc={final if not result.records else result.base_test_dsc:.4f} "
+        print(f"{name}: base_dsc={result.base_test_dsc:.4f} "
               f"final_dsc={final:.4f} iterations={len(result.records)}")
     print(f"reports under {cfg.output_dir}")
     return 0

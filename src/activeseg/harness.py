@@ -242,16 +242,26 @@ _SECTIONS = {
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
 
 
-def _build(tree: dict, path: str = ""):
-    """The dataclass at ``path`` from a nested dict of its field values."""
-    kwargs = {name: _build(sub, f"{path}.{name}".lstrip(".")) if isinstance(sub, dict) else sub
+def _build(tree: dict, given: dict, path: str = ""):
+    """The dataclass at ``path`` from a nested dict of its field values.  A
+    ValueError it raises is re-raised naming the keys in ``given`` that set
+    one of its fields."""
+    kwargs = {name: _build(sub, given, f"{path}.{name}".lstrip(".")) if isinstance(sub, dict) else sub
               for name, sub in tree.items()}
-    return _SECTIONS[path](**kwargs)
+    try:
+        return _SECTIONS[path](**kwargs)
+    except ValueError as exc:
+        names = [key.name for key in CONFIG_KEYS
+                 if key.name in given and any(f.rpartition(".")[0] == path for f in key.fields)]
+        if not names:
+            raise
+        raise ValueError(f"{exc} (config key{'s' if len(names) > 1 else ''} {', '.join(names)})") from None
 
 
-def _experiment(values: dict) -> ExperimentConfig:
+def _experiment(values: dict, given: Optional[dict] = None) -> ExperimentConfig:
     """The experiment that sets each key in ``values`` to its typed value
-    and every other key to its default."""
+    and every other key to its default.  An out-of-range value is reported
+    with the keys of ``given`` (default: ``values``) that set its section."""
     kind = values.get("dataset.kind", SYNTHETIC)
     if kind not in DATASET_KINDS:
         raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
@@ -268,7 +278,7 @@ def _experiment(values: dict) -> ExperimentConfig:
             for name in sections:
                 node = node.setdefault(name, {})
             node[leaf] = value
-    return _build(tree)
+    return _build(tree, values if given is None else given)
 
 
 def default_experiment(output_dir: Optional[str] = None, seed: Optional[int] = None) -> ExperimentConfig:
@@ -335,7 +345,8 @@ def echo_config(cfg: ExperimentConfig) -> str:
 def with_keys(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
     """cfg with the given keys set, as if they ended its config file; a key
     given as None is left as it is."""
-    return _experiment({**_config_values(cfg), **{k: v for k, v in values.items() if v is not None}})
+    given = {k: v for k, v in values.items() if v is not None}
+    return _experiment({**_config_values(cfg), **given}, given)
 
 
 # ---------------------------------------------------------------------------

@@ -291,24 +291,21 @@ def predict(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
 # ---------------------------------------------------------------------------
 
 
-def head_loss(p: ProbMap, target: BinaryMask) -> float:
-    """Binary cross-entropy, mean over pixels, probabilities clamped to [eps, 1-eps]."""
+def _one_sample(p: ProbMap, target: BinaryMask) -> Tuple[np.ndarray, np.ndarray]:
+    """(p, target) as a training batch of one sample."""
     if p.values.shape != target.values.shape:
         raise ValueError(f"shape mismatch: {p.values.shape} vs {target.values.shape}")
-    pc = np.clip(p.values, EPS, 1.0 - EPS)
-    t = target.values.astype(np.float64)
-    return float(np.mean(-(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
+    return p.values[None, :, :, None], target.values.astype(np.float64)[None, :, :, None]
+
+
+def head_loss(p: ProbMap, target: BinaryMask) -> float:
+    """Binary cross-entropy, mean over pixels, probabilities clamped to [eps, 1-eps]."""
+    return _head_loss_grad_batch(*_one_sample(p, target), "cross_entropy")[0]
 
 
 def soft_dice_loss(p: ProbMap, target: BinaryMask) -> float:
     """1 - (2 sum(p t) + s) / (sum p + sum t + s), smoothing s = 1."""
-    if p.values.shape != target.values.shape:
-        raise ValueError(f"shape mismatch: {p.values.shape} vs {target.values.shape}")
-    t = target.values.astype(np.float64)
-    smooth = 1.0
-    num = 2.0 * float(np.sum(p.values * t)) + smooth
-    den = float(np.sum(p.values)) + float(np.sum(t)) + smooth
-    return 1.0 - num / den
+    return _head_loss_grad_batch(*_one_sample(p, target), "soft_dice")[0]
 
 
 def total_loss(
@@ -317,15 +314,14 @@ def total_loss(
     w: LossWeights = LossWeights(),
     loss_kind: str = "cross_entropy",
 ) -> float:
-    """Weighted sum of the three per-head losses."""
-    per_head = head_loss if loss_kind == "cross_entropy" else soft_dice_loss
+    """Weighted sum of the three per-head losses; each is the training loss
+    (``_head_loss_grad_batch``) on a batch of this one sample."""
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-    return (
-        w.alpha_l * per_head(pred.lower, target)
-        + w.alpha_m * per_head(pred.middle, target)
-        + w.alpha_f * per_head(pred.final, target)
+    lower, middle, final = (
+        _head_loss_grad_batch(*_one_sample(m, target), loss_kind)[0] for m in (pred.lower, pred.middle, pred.final)
     )
+    return w.alpha_l * lower + w.alpha_m * middle + w.alpha_f * final
 
 
 def _head_loss_grad_batch(p: np.ndarray, t: np.ndarray, loss_kind: str) -> Tuple[float, np.ndarray]:

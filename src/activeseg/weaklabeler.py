@@ -86,9 +86,9 @@ def majority_vote(masks: Sequence[BinaryMask]) -> BinaryMask:
     return BinaryMask((2 * counts > len(masks)).astype(np.uint8))
 
 
-def refine(ensemble: CrfEnsemble, image: ImageGrid, p: ProbMap, method: str = "windowed") -> BinaryMask:
+def refine(ensemble: CrfEnsemble, image: ImageGrid, p: ProbMap) -> BinaryMask:
     """Majority vote over every member's mean-field decoding of (image, p)."""
-    return majority_vote([infer(image, p, member, method=method) for member in ensemble.members])
+    return majority_vote([infer(image, p, member) for member in ensemble.members])
 
 
 def _mean_dice(masks: Sequence[BinaryMask], truths: Sequence[BinaryMask]) -> float:
@@ -101,7 +101,6 @@ def greedy_finetune(
     rounds: int,
     spec: PerturbSpec,
     seed: int,
-    method: str = "windowed",
 ) -> CrfEnsemble:
     """Re-center the ensemble on its best member until the vote beats the
     mean member Dice on the validation set, for at most `rounds` rounds.
@@ -123,7 +122,7 @@ def greedy_finetune(
     best_dice = -1.0
     for r in range(rounds):
         member_masks = [
-            [infer(img, p, member, method=method) for img, p, _ in validation]
+            [infer(img, p, member) for img, p, _ in validation]
             for member in candidate.members
         ]
         member_dices = [_mean_dice(masks, truths) for masks in member_masks]

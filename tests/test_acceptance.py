@@ -58,7 +58,7 @@ def loop_study():
             params = sg.train(
                 init_params(seed), pairs, replace(cfg.al.base_train_config(), epochs=40)
             )
-            study["fullsup"][seed] = alloop.evaluate(params, split.test)
+            study["fullsup"][seed] = alloop.evaluate(params, split.test)[0]
             study["fullsup_seconds"][seed] = time.perf_counter() - t0
     return study
 

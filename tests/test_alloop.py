@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -185,6 +187,33 @@ class TestRun:
         split = tiny_split()
         result = run_detailed(split, tiny_config(target_dsc=0.0))
         assert len(result.records) == 1
+
+    def test_each_model_state_forwards_the_test_set_once(self, monkeypatch):
+        split = tiny_split()
+        calls: list = []  # keeps every object alive, so its id is not reused
+        original = alloop.segmenter.predict
+
+        def spy(params, image):
+            calls.append((params, image))
+            return original(params, image)
+
+        monkeypatch.setattr(alloop.segmenter, "predict", spy)
+        result = run_detailed(split, tiny_config())
+        for s in split.test:
+            assert sum(1 for _, image in calls if image is s.image) == len(result.records) + 1
+        weak = [sid for r in result.records for sid in r.weak_ids]
+        assert weak, "test must exercise the weak-labeling path"
+        counts = Counter((id(params), id(image)) for params, image in calls)
+        pool_ids = {id(s.image): s.id for s in split.pool}
+        repeated = [pool_ids.get(image, "not a pool sample") for (_, image), n in counts.items() for _ in range(n - 1)]
+        assert sorted(repeated) == sorted(weak)
+
+    def test_correlation_pairs_are_the_evaluated_test_dsc(self):
+        result = run_detailed(tiny_split(), tiny_config())
+        test_dscs = [result.base_test_dsc] + [r.test_dsc for r in result.records]
+        for t, test_dsc in enumerate(test_dscs):
+            r_dscs = [r_dsc for it, _, _, r_dsc in result.correlation_pairs if it == t]
+            assert float(np.mean(r_dscs)) == test_dsc
 
     def test_pseudo_labels_never_read_ground_truth(self, monkeypatch):
         split = tiny_split(n_pool=14)

@@ -136,6 +136,10 @@ class TestConfigRoundtrip:
         assert (new.dataset, new.output_dir) == (cfg.dataset, cfg.output_dir)
         assert with_keys(new, {"seed": 0}) == cfg
 
+    def test_with_keys_error_names_only_the_keys_it_sets(self, tmp_path):
+        with pytest.raises(ValueError, match=r"odd .* \(config key ensemble\.members\)$"):
+            with_keys(tiny_experiment(tmp_path), {"ensemble.members": 4, "seed": None})
+
     def test_readme_table_matches_the_keys(self):
         with open(README, encoding="utf-8") as fh:
             section = fh.read().split("## Config file format")[1].split("\n## ")[0]
@@ -341,6 +345,11 @@ class TestCli:
         "ablation.pseudo_labels=no",
         "ensemble.perturb_steps=yes",
         "dataset.kind=Synthetic",
+        "al.strategy=bad",
+        "ensemble.members=4",
+        "loss.alpha_l=0.5",
+        "crf.bilateral.schan=0",
+        "train.loss=l2",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")

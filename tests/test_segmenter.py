@@ -171,6 +171,26 @@ class TestLosses:
         v = total_loss(pred, t, LossWeights())
         assert min(losses) <= v <= max(losses)
 
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
+    def test_total_loss_is_the_training_loss(self, loss_kind):
+        params = init_params(3)
+        img, tgt = random_instance(16, seed=5)
+        w = LossWeights(0.2, 0.3, 0.5)
+        x = img.values[None, :, :, None]
+        t = tgt.values.astype(np.float64)[None, :, :, None]
+        trained_on = sg._loss_and_grads_batch(params.tensors, x, t, w, loss_kind)[0]
+        assert total_loss(forward(params, img), tgt, w, loss_kind) == trained_on
+
+    def test_float32_clamp_is_finite_and_flat_at_the_ends(self):
+        # float32 cannot hold 1 - 1e-8, so the clamp widens to stay below 1
+        p = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25], dtype=np.float32).reshape(1, 2, 3, 1)
+        t = np.array([0, 1, 1, 0, 1, 0], dtype=np.float32).reshape(1, 2, 3, 1)
+        loss, dz = sg._head_loss_grad_batch(p, t, "cross_entropy")
+        assert math.isfinite(loss)
+        clamped = (p == 0.0) | (p == 1.0)
+        assert not dz[clamped].any()
+        assert dz[~clamped].all()
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             LossWeights(0.2, 0.2, 0.2)
