@@ -146,6 +146,21 @@ def load_samples(cfg: ExperimentConfig) -> list[Sample]:
     return load_dataset(cfg.dataset)
 
 
+def _check_rasters(samples: Sequence[Sample], source: str) -> None:
+    """Reject rasters the segmenter cannot train on: sides not divisible by 4
+    (its two 2x2 pooling stages) or more than one raster size."""
+    for s in samples:
+        h, w = s.image.values.shape
+        if h % 4 != 0 or w % 4 != 0:
+            raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w}; training needs sides divisible by 4")
+        h0, w0 = samples[0].image.values.shape
+        if (h, w) != (h0, w0):
+            raise ValueError(
+                f"dataset {source}: sample {s.id!r} is {h}x{w} but sample {samples[0].id!r} is {h0}x{w0}; "
+                "training needs one raster size"
+            )
+
+
 def make_split(samples: Sequence[Sample], cfg: ExperimentConfig) -> DatasetSplit:
     """Seeded shuffle then slice; identical for paired method/baseline runs."""
     need = cfg.n_initial + cfg.n_pool + cfg.n_test
@@ -410,6 +425,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
     if not os.access(cfg.output_dir, os.W_OK):
         raise ValueError(f"output directory {cfg.output_dir!r} is not writable")
     samples = load_samples(cfg)
+    if isinstance(cfg.dataset, str):  # a SyntheticSpec only makes valid rasters
+        _check_rasters(samples, cfg.dataset)
     split = make_split(samples, cfg)
 
     with open(os.path.join(cfg.output_dir, "config_echo.txt"), "w", encoding="ascii", newline="\n") as fh:

@@ -23,11 +23,12 @@ size), middle on dec1 (NN x2), final on dec2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import BinaryMask, ImageGrid, ProbMap, crop_to, pad_to_multiple
 
@@ -120,6 +121,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.learning_rate <= 0 or self.batch_size <= 0:
@@ -148,12 +153,61 @@ def init_params(seed: int) -> SegmenterParams:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """Unfold 3x3 same-pad windows: (N, H, W, C) -> (N*H*W, 9*C)."""
-    n, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (N, H, W, C, 3, 3)
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * w, 9 * c)
+Workspace = Dict[tuple, np.ndarray]
+
+
+def _buffer(ws: Optional[Workspace], key: tuple, shape: Tuple[int, ...], dtype, fill=np.zeros) -> np.ndarray:
+    """A `fill`-made array of `shape`, kept in the workspace when one is given.
+
+    A workspace buffer is keyed by `key` and by `shape` without its batch
+    axis, and is sized for the largest batch it has seen; a smaller batch
+    gets a ``[:n]`` view of it.
+    """
+    if ws is None:
+        return fill(shape, dtype)
+    slot = (key, shape[1:], np.dtype(dtype))
+    buf = ws.get(slot)
+    if buf is None or len(buf) < shape[0]:
+        buf = ws[slot] = fill(shape, dtype)
+    return buf[: shape[0]]
+
+
+def _bordered(shape: Tuple[int, ...], dtype, ws: Optional[Workspace] = None, key: str = "") -> np.ndarray:
+    """Zero-bordered (N, H+2, W+2, C) buffer for a conv input of shape
+    (N, H, W, C).  Callers write only its interior ``[:, 1:-1, 1:-1]``, so a
+    workspace buffer keeps the border it was allocated with."""
+    n, h, w, c = shape
+    return _buffer(ws, (key, "bordered"), (n, h + 2, w + 2, c), dtype)
+
+
+def _border(x: np.ndarray, ws: Optional[Workspace] = None, key: str = "") -> np.ndarray:
+    """x (N, H, W, C) with a one-pixel zero border (the 3x3 same padding)."""
+    xp = _bordered(x.shape, x.dtype, ws, key)
+    xp[:, 1:-1, 1:-1] = x
+    return xp
+
+
+def _border_upsampled_skip(low: np.ndarray, skip: np.ndarray, ws: Optional[Workspace], key: str) -> np.ndarray:
+    """Bordered concat of (NN x2 upsample of low, skip) on the channel axis,
+    both written straight into the interior."""
+    n, h, w, c = skip.shape
+    cl = low.shape[3]
+    xp = _bordered((n, h, w, cl + c), low.dtype, ws, key)
+    inner = xp[:, 1:-1, 1:-1]
+    np.reshape(inner[..., :cl], (n, h // 2, 2, w // 2, 2, cl), copy=False)[...] = low[:, :, None, :, None, :]
+    inner[..., cl:] = skip
+    return xp
+
+
+def _im2col(xp: np.ndarray, ws: Optional[Workspace] = None, key: str = "") -> np.ndarray:
+    """Unfold the 3x3 windows of a zero-bordered (N, H+2, W+2, C) input:
+    (N*H*W, 9*C), columns in (dy, dx, c) order, one strided copy."""
+    n, hp, wp, c = xp.shape
+    sn, sh, sw, sc = xp.strides
+    win = as_strided(xp, (n, hp - 2, wp - 2, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False)
+    cols = _buffer(ws, (key, "cols"), win.shape, xp.dtype, np.empty)
+    np.copyto(cols, win)
+    return cols.reshape(n * (hp - 2) * (wp - 2), 9 * c)
 
 
 def _kernel_matrix(k: np.ndarray) -> np.ndarray:
@@ -165,12 +219,15 @@ def _conv3x3(cols: np.ndarray, k: np.ndarray, b: np.ndarray, out_shape: Tuple[in
     return (cols @ _kernel_matrix(k) + b).reshape(out_shape[:3] + (k.shape[0],))
 
 
-def _conv3x3_input_grad(dout: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _conv3x3_input_grad(
+    dout: np.ndarray, k: np.ndarray, ws: Optional[Workspace] = None, key: str = ""
+) -> np.ndarray:
     """Same-pad stride-1 transpose: convolve the output gradient with the
     180-degree-rotated kernel, channel roles swapped."""
     kt = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C, O, 3, 3)
     n, h, w, _ = dout.shape
-    return _conv3x3(_im2col(dout), kt, np.zeros(kt.shape[0], dtype=dout.dtype), (n, h, w))
+    cols = _im2col(_border(dout, ws, key), ws, key)
+    return _conv3x3(cols, kt, np.zeros(kt.shape[0], dtype=dout.dtype), (n, h, w))
 
 
 def _conv3x3_param_grad(cols: np.ndarray, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -227,24 +284,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _forward_batch(tensors: Dict[str, np.ndarray], x: np.ndarray, keep_cache: bool = False):
-    """Run the network on a batch (N, H, W, 1); optionally keep activations."""
+def _forward_batch(
+    tensors: Dict[str, np.ndarray], x: np.ndarray, keep_cache: bool = False, ws: Optional[Workspace] = None
+):
+    """Run the network on a batch (N, H, W, 1); optionally keep activations.
+
+    With a workspace the conv buffers come from it, so the cached im2col
+    matrices stay valid only until the next call with the same workspace.
+    """
     t = tensors
 
-    def conv_relu(inp, name):
-        cols = _im2col(inp)
-        out = np.maximum(_conv3x3(cols, t[f"{name}.kernel"], t[f"{name}.bias"], inp.shape), 0.0)
+    def conv_relu(xp, name):
+        cols = _im2col(xp, ws, name)
+        out_shape = (xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2)
+        out = np.maximum(_conv3x3(cols, t[f"{name}.kernel"], t[f"{name}.bias"], out_shape), 0.0)
         return out, cols
 
-    a1, cols1 = conv_relu(x, "enc1")
+    a1, cols1 = conv_relu(_border(x, ws, "enc1"), "enc1")
     p1, idx1 = _maxpool2(a1)
-    a2, cols2 = conv_relu(p1, "enc2")
+    a2, cols2 = conv_relu(_border(p1, ws, "enc2"), "enc2")
     p2, idx2 = _maxpool2(a2)
-    a3, cols3 = conv_relu(p2, "bottleneck")
-    c1 = np.concatenate([_upsample(a3, 2), a2], axis=3)
-    d1, cols4 = conv_relu(c1, "dec1")
-    c2 = np.concatenate([_upsample(d1, 2), a1], axis=3)
-    d2, cols5 = conv_relu(c2, "dec2")
+    a3, cols3 = conv_relu(_border(p2, ws, "bottleneck"), "bottleneck")
+    d1, cols4 = conv_relu(_border_upsampled_skip(a3, a2, ws, "dec1"), "dec1")
+    d2, cols5 = conv_relu(_border_upsampled_skip(d1, a1, ws, "dec2"), "dec2")
 
     z_lower = _upsample(_conv1x1(a3, t["head_lower.kernel"], t["head_lower.bias"]), 4)
     z_middle = _upsample(_conv1x1(d1, t["head_middle.kernel"], t["head_middle.bias"]), 2)
@@ -360,9 +422,11 @@ def _loss_and_grads_batch(
     t: np.ndarray,
     w: LossWeights,
     loss_kind: str,
+    ws: Optional[Workspace] = None,
 ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Total loss (batch mean) and analytic gradients for every parameter."""
-    probs, cache = _forward_batch(tensors, x, keep_cache=True)
+    """Total loss (batch mean) and analytic gradients for every parameter;
+    the conv buffers come from the workspace when one is given."""
+    probs, cache = _forward_batch(tensors, x, keep_cache=True, ws=ws)
     tens = tensors
     grads: Dict[str, np.ndarray] = {}
 
@@ -392,27 +456,27 @@ def _loss_and_grads_batch(
     # decoder stage 2
     dpre = dfeat_final * (cache["d2"] > 0)
     grads["dec2.kernel"], grads["dec2.bias"] = _conv3x3_param_grad(cols["dec2"], dpre)
-    dc2 = _conv3x3_input_grad(dpre, tens["dec2.kernel"])
+    dc2 = _conv3x3_input_grad(dpre, tens["dec2.kernel"], ws, "dec2.dgrad")
     du2, da1_skip = dc2[:, :, :, :16], dc2[:, :, :, 16:]
 
     # decoder stage 1
     dd1 = dfeat_middle + _upsample_grad(du2, 2)
     dpre = dd1 * (cache["d1"] > 0)
     grads["dec1.kernel"], grads["dec1.bias"] = _conv3x3_param_grad(cols["dec1"], dpre)
-    dc1 = _conv3x3_input_grad(dpre, tens["dec1.kernel"])
+    dc1 = _conv3x3_input_grad(dpre, tens["dec1.kernel"], ws, "dec1.dgrad")
     du1, da2_skip = dc1[:, :, :, :32], dc1[:, :, :, 32:]
 
     # bottleneck
     da3 = dfeat_lower + _upsample_grad(du1, 2)
     dpre = da3 * (cache["a3"] > 0)
     grads["bottleneck.kernel"], grads["bottleneck.bias"] = _conv3x3_param_grad(cols["bottleneck"], dpre)
-    dp2 = _conv3x3_input_grad(dpre, tens["bottleneck.kernel"])
+    dp2 = _conv3x3_input_grad(dpre, tens["bottleneck.kernel"], ws, "bottleneck.dgrad")
 
     # encoder stage 2
     da2 = da2_skip + _maxpool2_grad(dp2, cache["idx2"], cache["a2"].shape)
     dpre = da2 * (cache["a2"] > 0)
     grads["enc2.kernel"], grads["enc2.bias"] = _conv3x3_param_grad(cols["enc2"], dpre)
-    dp1 = _conv3x3_input_grad(dpre, tens["enc2.kernel"])
+    dp1 = _conv3x3_input_grad(dpre, tens["enc2.kernel"], ws, "enc2.dgrad")
 
     # encoder stage 1
     da1 = da1_skip + _maxpool2_grad(dp1, cache["idx1"], cache["a1"].shape)
@@ -451,10 +515,12 @@ def train(
 ) -> SegmenterParams:
     """Mini-batch gradient descent over the labeled set, warm-starting from params.
 
-    All samples must share one raster size (the harness resizes or pads
-    upstream); shuffling and batching are fully determined by cfg.seed.
-    Descent runs in float32 for speed (deterministic; parameters are stored
-    in float64 at the API boundary).
+    All samples must share one raster size (the harness checks its datasets
+    for this when it loads them); shuffling and batching are fully
+    determined by cfg.seed.  Descent runs in float32 for speed
+    (deterministic; parameters are stored in float64 at the API boundary).
+    Every step reuses one workspace of conv buffers, sized by the first
+    (largest) batch.
     """
     if len(labeled_set) == 0:
         raise ValueError("labeled set must be nonempty")
@@ -472,11 +538,12 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     work = {name: arr.astype(np.float32) for name, arr in params.tensors.items()}
     lr = np.float32(cfg.learning_rate)
+    ws: Workspace = {}
     for _ in range(cfg.epochs):
         order = rng.permutation(len(labeled_set))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _, grads = _loss_and_grads_batch(work, images[batch], targets[batch], w, cfg.loss_kind)
+            _, grads = _loss_and_grads_batch(work, images[batch], targets[batch], w, cfg.loss_kind, ws)
             work = {name: work[name] - lr * grads[name] for name in PARAM_SHAPES}
     return SegmenterParams({name: arr.astype(np.float64) for name, arr in work.items()})
 

@@ -6,7 +6,7 @@ import pytest
 
 from activeseg import cli
 from activeseg.alloop import ALConfig
-from activeseg.core import binarize, load_dataset, save_dataset
+from activeseg.core import BinaryMask, ImageGrid, Sample, binarize, load_dataset, save_dataset
 from activeseg.crf import CrfParams
 from activeseg.harness import (
     CONFIG_KEYS,
@@ -72,6 +72,16 @@ class TestGenerator:
             SyntheticSpec(n_samples=1, image_size=10)
         with pytest.raises(ValueError):
             SyntheticSpec(n_samples=1, shape="triangle")
+
+
+def write_dataset(root, sizes, seed=0):
+    """A directory dataset of random square images and masks, one per size."""
+    rng = np.random.default_rng(seed)
+    save_dataset(root, [
+        Sample(f"s{i:03d}", ImageGrid(rng.uniform(0, 1, (n, n))), BinaryMask((rng.uniform(0, 1, (n, n)) > 0.5).astype(int)))
+        for i, n in enumerate(sizes)
+    ])
+    return root
 
 
 def tiny_experiment(tmp_path, **al_overrides) -> ExperimentConfig:
@@ -363,6 +373,41 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: ")
         assert line.partition("=")[0] in err
+
+    @pytest.mark.parametrize("sizes, bad, text", [
+        ([30] * 24, "s000", "30x30; training needs sides divisible by 4"),
+        ([32] * 5 + [28] + [32] * 18, "s005", "28x28 but sample 's000' is 32x32; training needs one raster size"),
+        ([32] * 5 + [30] + [32] * 18, "s005", "30x30; training needs sides divisible by 4"),
+    ])
+    def test_bad_rasters_fail_before_the_split(self, tmp_path, capsys, monkeypatch, sizes, bad, text):
+        from activeseg import harness, segmenter
+
+        data_dir = write_dataset(str(tmp_path / "data"), sizes)
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"dataset.kind=directory\ndataset.dir={data_dir}\nsplit.initial=4\nsplit.pool=10\nsplit.test=10\n"
+                     f"output.dir={tmp_path / 'out'}\n")
+
+        def reached(*args, **kw):
+            raise AssertionError("the check must come first")
+
+        monkeypatch.setattr(harness, "make_split", reached)
+        monkeypatch.setattr(segmenter, "train", reached)
+        rc = cli.main(["run", "--config", cfg_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: dataset {data_dir}: sample {bad!r} is {text}\n"
+
+    def test_score_pads_unaligned_images(self, tmp_path):
+        from activeseg.segmenter import init_params, save_params
+
+        data_dir = write_dataset(str(tmp_path / "data"), [30] * 3)
+        ckpt = str(tmp_path / "ckpt.bin")
+        save_params(ckpt, init_params(0))
+        out_csv = str(tmp_path / "scores.csv")
+        assert cli.main(["score", "--checkpoint", ckpt, "--data", data_dir, "--out", out_csv]) == 0
+        with open(out_csv) as fh:
+            assert len(fh.read().splitlines()) == 4
 
     def test_generate_defaults_are_the_default_corpus(self, tmp_path):
         rc = cli.main(["generate", "--out", str(tmp_path / "cli"), "--n", "6", "--size", "16"])

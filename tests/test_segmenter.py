@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from activeseg import segmenter as sg
@@ -284,6 +285,89 @@ class TestTrain:
         b = (ImageGrid(np.zeros((8, 8))), BinaryMask(np.zeros((8, 8), dtype=int)))
         with pytest.raises(ValueError, match="single raster size"):
             train(init_params(0), [a, b], TrainConfig(epochs=1))
+
+    def test_epochs_and_batch_size_must_be_integers(self):
+        for name in ("epochs", "batch_size"):
+            for bad in (1.5, 2.5, True, "2", None):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    TrainConfig(**{name: bad})
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int64(3))
+        assert (cfg.epochs, cfg.batch_size) == (2, 3)
+
+
+def labeled_set(n, size, seed):
+    return [random_instance(size, seed=seed + i) for i in range(n)]
+
+
+def assert_same_bytes(a, b):
+    for name in PARAM_SHAPES:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+class TestConvWorkspace:
+    """The workspace conv data path against the padded-copy oracle, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("raster", [(4, 4), (8, 20), (32, 32)])
+    def test_im2col_matches_padded_copy(self, raster, dtype):
+        rng = np.random.default_rng(0)
+        ws = {}
+        # the first batch sizes the buffers; the smaller ones take [:n] views
+        for n in (3, 1, 2):
+            for c in (1, 8, 16, 24, 48):
+                x = rng.standard_normal((n, *raster, c)).astype(dtype)
+                ref = oracles.padded_im2col(x)
+                assert np.array_equal(sg._im2col(sg._border(x)), ref)
+                assert np.array_equal(sg._im2col(sg._border(x, ws, "conv"), ws, "conv"), ref)
+
+    def test_im2col_of_channel_slices(self):
+        dc2 = np.random.default_rng(1).standard_normal((2, 8, 20, 24)).astype(np.float32)
+        ws = {}
+        for x in (dc2[..., :16], dc2[..., 16:], dc2[:, ::2, ::2, 3:11]):
+            assert not x.flags.c_contiguous
+            ref = oracles.padded_im2col(x)
+            assert np.array_equal(sg._im2col(sg._border(x)), ref)
+            assert np.array_equal(sg._im2col(sg._border(x, ws, "conv"), ws, "conv"), ref)
+
+    @pytest.mark.parametrize("n, size, batch_size, loss_kind", [
+        (5, 16, 2, "cross_entropy"),  # odd set: a tail batch of one
+        (3, 16, 8, "soft_dice"),  # one batch, smaller than batch_size
+        (7, 32, 3, "cross_entropy"),
+    ])
+    def test_train_matches_padded_copy(self, n, size, batch_size, loss_kind):
+        data = labeled_set(n, size, seed=n)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, loss_kind=loss_kind, seed=3)
+        assert_same_bytes(train(init_params(1), data, cfg), oracles.padded_train(init_params(1), data, cfg))
+
+    def test_successive_trains_at_two_sizes(self):
+        params = init_params(2)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=2, seed=4)
+        for size in (16, 32):
+            data = labeled_set(3, size, seed=size)
+            got = train(params, data, cfg)
+            assert_same_bytes(got, oracles.padded_train(params, data, cfg))
+            params = got
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_rows_leak_between_batches(self, dtype):
+        """One workspace over batches of 3, 2 and 1: each step equals the
+        workspace-free path (the one backward takes) on the same batch."""
+        params = init_params(5)
+        tensors = {name: arr.astype(dtype) for name, arr in params.tensors.items()}
+        rng = np.random.default_rng(6)
+        ws = {}
+        for n in (3, 2, 1):
+            x = rng.uniform(0, 1, (n, 16, 16, 1)).astype(dtype)
+            t = (rng.uniform(0, 1, (n, 16, 16, 1)) > 0.5).astype(dtype)
+            loss, grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), "cross_entropy", ws)
+            ref_loss, ref_grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), "cross_entropy")
+            assert loss == ref_loss
+            for name in PARAM_SHAPES:
+                assert np.array_equal(grads[name], ref_grads[name]), name
+        if dtype is np.float64:
+            ref_grads = backward(params, ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int)))
+            for name in PARAM_SHAPES:
+                assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestCheckpoint:
