@@ -149,11 +149,13 @@ def load_samples(cfg: ExperimentConfig) -> list[Sample]:
 def _check_rasters(samples: Sequence[Sample], source: str) -> None:
     """Reject rasters the segmenter cannot train on: sides not divisible by 4
     (its two 2x2 pooling stages) or more than one raster size."""
+    if not samples:
+        return  # make_split reports the empty dataset
+    h0, w0 = samples[0].image.values.shape
     for s in samples:
         h, w = s.image.values.shape
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w}; training needs sides divisible by 4")
-        h0, w0 = samples[0].image.values.shape
         if (h, w) != (h0, w0):
             raise ValueError(
                 f"dataset {source}: sample {s.id!r} is {h}x{w} but sample {samples[0].id!r} is {h0}x{w0}; "
@@ -425,8 +427,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
     if not os.access(cfg.output_dir, os.W_OK):
         raise ValueError(f"output directory {cfg.output_dir!r} is not writable")
     samples = load_samples(cfg)
-    if isinstance(cfg.dataset, str):  # a SyntheticSpec only makes valid rasters
-        _check_rasters(samples, cfg.dataset)
+    _check_rasters(samples, cfg.dataset if isinstance(cfg.dataset, str) else "synthetic")
     split = make_split(samples, cfg)
 
     with open(os.path.join(cfg.output_dir, "config_echo.txt"), "w", encoding="ascii", newline="\n") as fh:

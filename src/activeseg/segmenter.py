@@ -194,7 +194,7 @@ def _border_upsampled_skip(low: np.ndarray, skip: np.ndarray, ws: Optional[Works
     cl = low.shape[3]
     xp = _bordered((n, h, w, cl + c), low.dtype, ws, key)
     inner = xp[:, 1:-1, 1:-1]
-    np.reshape(inner[..., :cl], (n, h // 2, 2, w // 2, 2, cl), copy=False)[...] = low[:, :, None, :, None, :]
+    inner[..., :cl] = _upsample(low, 2)
     inner[..., cl:] = skip
     return xp
 
@@ -219,14 +219,13 @@ def _conv3x3(cols: np.ndarray, k: np.ndarray, b: np.ndarray, out_shape: Tuple[in
     return (cols @ _kernel_matrix(k) + b).reshape(out_shape[:3] + (k.shape[0],))
 
 
-def _conv3x3_input_grad(
-    dout: np.ndarray, k: np.ndarray, ws: Optional[Workspace] = None, key: str = ""
-) -> np.ndarray:
+def _conv3x3_input_grad(dout: np.ndarray, k: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
     """Same-pad stride-1 transpose: convolve the output gradient with the
-    180-degree-rotated kernel, channel roles swapped."""
+    180-degree-rotated kernel, channel roles swapped.  Its workspace buffers
+    are keyed by shape only: no two calls are ever live at once."""
     kt = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C, O, 3, 3)
     n, h, w, _ = dout.shape
-    cols = _im2col(_border(dout, ws, key), ws, key)
+    cols = _im2col(_border(dout, ws, "dgrad"), ws, "dgrad")
     return _conv3x3(cols, kt, np.zeros(kt.shape[0], dtype=dout.dtype), (n, h, w))
 
 
@@ -456,27 +455,27 @@ def _loss_and_grads_batch(
     # decoder stage 2
     dpre = dfeat_final * (cache["d2"] > 0)
     grads["dec2.kernel"], grads["dec2.bias"] = _conv3x3_param_grad(cols["dec2"], dpre)
-    dc2 = _conv3x3_input_grad(dpre, tens["dec2.kernel"], ws, "dec2.dgrad")
+    dc2 = _conv3x3_input_grad(dpre, tens["dec2.kernel"], ws)
     du2, da1_skip = dc2[:, :, :, :16], dc2[:, :, :, 16:]
 
     # decoder stage 1
     dd1 = dfeat_middle + _upsample_grad(du2, 2)
     dpre = dd1 * (cache["d1"] > 0)
     grads["dec1.kernel"], grads["dec1.bias"] = _conv3x3_param_grad(cols["dec1"], dpre)
-    dc1 = _conv3x3_input_grad(dpre, tens["dec1.kernel"], ws, "dec1.dgrad")
+    dc1 = _conv3x3_input_grad(dpre, tens["dec1.kernel"], ws)
     du1, da2_skip = dc1[:, :, :, :32], dc1[:, :, :, 32:]
 
     # bottleneck
     da3 = dfeat_lower + _upsample_grad(du1, 2)
     dpre = da3 * (cache["a3"] > 0)
     grads["bottleneck.kernel"], grads["bottleneck.bias"] = _conv3x3_param_grad(cols["bottleneck"], dpre)
-    dp2 = _conv3x3_input_grad(dpre, tens["bottleneck.kernel"], ws, "bottleneck.dgrad")
+    dp2 = _conv3x3_input_grad(dpre, tens["bottleneck.kernel"], ws)
 
     # encoder stage 2
     da2 = da2_skip + _maxpool2_grad(dp2, cache["idx2"], cache["a2"].shape)
     dpre = da2 * (cache["a2"] > 0)
     grads["enc2.kernel"], grads["enc2.bias"] = _conv3x3_param_grad(cols["enc2"], dpre)
-    dp1 = _conv3x3_input_grad(dpre, tens["enc2.kernel"], ws, "enc2.dgrad")
+    dp1 = _conv3x3_input_grad(dpre, tens["enc2.kernel"], ws)
 
     # encoder stage 1
     da1 = da1_skip + _maxpool2_grad(dp1, cache["idx1"], cache["a1"].shape)

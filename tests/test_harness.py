@@ -398,6 +398,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: dataset {data_dir}: sample {bad!r} is {text}\n"
 
+    def test_empty_dataset_reports_the_split(self, tmp_path, capsys):
+        data_dir = write_dataset(str(tmp_path / "data"), [])
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"dataset.kind=directory\ndataset.dir={data_dir}\noutput.dir={tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err.startswith("error: dataset has 0 samples but the split needs ")
+
     def test_score_pads_unaligned_images(self, tmp_path):
         from activeseg.segmenter import init_params, save_params
 

@@ -348,6 +348,15 @@ class TestConvWorkspace:
             assert_same_bytes(got, oracles.padded_train(params, data, cfg))
             params = got
 
+    def test_input_grads_share_buffers_by_shape(self):
+        """The four input-gradient convs meet three raster shapes (dec1's and
+        enc2's match), so they hold three bordered inputs and three matrices."""
+        tensors = {name: arr.astype(np.float32) for name, arr in init_params(0).tensors.items()}
+        x = np.zeros((2, 16, 16, 1), np.float32)
+        ws = {}
+        sg._loss_and_grads_batch(tensors, x, x, LossWeights(), "cross_entropy", ws)
+        assert sorted(role for (key, role), _, _ in ws if key == "dgrad") == ["bordered"] * 3 + ["cols"] * 3
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_rows_leak_between_batches(self, dtype):
         """One workspace over batches of 3, 2 and 1: each step equals the
