@@ -242,16 +242,23 @@ def read_pgm(path: str) -> np.ndarray:
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos == len(data):
+            raise ValueError(f"{path}: PGM header ends after {len(tokens)} of its 4 fields")
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ValueError(f"{path}: PGM width, height and maxval must be integers, got {tokens[1:]}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     pos += 1  # single whitespace byte after the header
+    if len(data) - pos < height * width:
+        raise ValueError(f"{path}: a {width}x{height} PGM needs {height * width} raster bytes, "
+                         f"the file has {max(0, len(data) - pos)}")
     raster = np.frombuffer(data, dtype=np.uint8, count=height * width, offset=pos)
     return raster.reshape(height, width).copy()
 

@@ -5,8 +5,9 @@ Pairwise potentials combine a spatial Gaussian kernel and a bilateral
 a foreground-probability map.  Two message-passing paths are provided:
 
 * exact: all-pairs kernel sums, the ground-truth oracle (small images);
-* windowed: truncated kernels (radius 3 sigma, capped at the image extent),
-  separable filtering for the spatial kernel.  The bilateral range weights
+* windowed: truncated kernels (radius 3 sigma, capped at the image extent).
+  The spatial kernel is a numpy separable filter in SciPy's summation order,
+  equal bit for bit to ``ndimage.correlate1d``.  The bilateral range weights
   ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, for half
   of the offsets (the kernel is symmetric), and shared by both labels and
   every mean-field step.  Each step still visits every offset in the window,
@@ -23,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import correlate1d
 
 from .core import BinaryMask, ImageGrid, ProbMap
 
@@ -164,13 +164,47 @@ def _kernel_radius(sdims: float, shape: tuple[int, int]) -> int:
     return min(int(np.ceil(3.0 * sdims)), max(shape[0], shape[1]) - 1) if max(shape) > 1 else 0
 
 
-def _gaussian_message(q_l: np.ndarray, sdims: float) -> np.ndarray:
-    """Windowed sum_j k(i, j) q_j for the separable spatial kernel, excluding j = i."""
-    radius = _kernel_radius(sdims, q_l.shape)
-    w = _spatial_weights(sdims, radius)
-    acc = correlate1d(q_l, w, axis=0, mode="constant", cval=0.0)
-    acc = correlate1d(acc, w, axis=1, mode="constant", cval=0.0)
-    return acc - q_l  # remove the self term (kernel value 1 at zero offset)
+def _separable_pass(src: np.ndarray, w: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = src filtered along axis by the symmetric weights w (length 2r + 1).
+
+    src is zero-bordered by r along axis, so out is r shorter on each side.
+    The terms are summed as SciPy's correlate1d sums a symmetric filter:
+    x[i] * w[r], then (x[i - j] + x[i + j]) * w[r - j] for j = r down to 1.
+    """
+    r = (w.size - 1) // 2
+    n = out.shape[axis]
+
+    def shifted(d: int) -> np.ndarray:
+        index = [slice(None)] * src.ndim
+        index[axis] = slice(r + d, r + d + n)
+        return src[tuple(index)]
+
+    np.multiply(shifted(0), w[r], out=out)
+    for j in range(r, 0, -1):
+        np.add(shifted(-j), shifted(j), out=tmp)
+        tmp *= w[r - j]
+        out += tmp
+
+
+def _gaussian_message(q: np.ndarray, sdims: float) -> np.ndarray:
+    """Windowed sum_j k(i, j) q[l, j] for the separable spatial kernel, for
+    each channel l of q (shape (L, H, W)), excluding j = i.
+
+    Zero border, axis 0 of the raster first, then axis 1.  The padded input
+    is zero in its border columns, so the first pass leaves exact zeros there
+    for the second.
+    """
+    n, h, w = q.shape
+    radius = _kernel_radius(sdims, (h, w))
+    weights = _spatial_weights(sdims, radius)
+    padded = np.zeros((n, h + 2 * radius, w + 2 * radius))
+    padded[:, radius : radius + h, radius : radius + w] = q
+    rows = np.empty((n, h, w + 2 * radius))
+    _separable_pass(padded, weights, 1, rows, np.empty_like(rows))
+    acc = np.empty((n, h, w))
+    _separable_pass(rows, weights, 2, acc, np.empty_like(acc))
+    acc -= q  # remove the self term (kernel value 1 at zero offset)
+    return acc
 
 
 def _spans(d: int, n: int) -> tuple[slice, slice]:
@@ -306,14 +340,11 @@ def _potts_messages(image: np.ndarray, params: CrfParams, method: str) -> Callab
     def windowed(q: np.ndarray) -> np.ndarray:
         messages = np.zeros((h, w, 2))
         # channel l holds the other label's marginal, which penalizes label l
-        bilateral = None if table is None else _bilateral_messages(np.ascontiguousarray(q[:, :, ::-1].transpose(2, 0, 1)), table)
-        for label in (0, 1):
-            msg = np.zeros((h, w))
-            if params.gaussian_compat > 0.0:
-                msg += params.gaussian_compat * _gaussian_message(q[:, :, 1 - label], params.gaussian_sdims)
-            if bilateral is not None:
-                msg += params.bilateral_compat * bilateral[label]
-            messages[:, :, label] = msg
+        other = np.ascontiguousarray(q[:, :, ::-1].transpose(2, 0, 1))
+        if params.gaussian_compat > 0.0:
+            messages += params.gaussian_compat * _gaussian_message(other, params.gaussian_sdims).transpose(1, 2, 0)
+        if table is not None:
+            messages += params.bilateral_compat * _bilateral_messages(other, table).transpose(1, 2, 0)
         return messages
 
     return windowed
@@ -342,14 +373,17 @@ def infer(image: ImageGrid, p: ProbMap, params: CrfParams, method: str = "window
     """Mean-field decode: init from unaries, run params.steps updates, argmax.
 
     The messages' image-dependent weights are built once per call and shared
-    by every step.  Argmax ties resolve to foreground, so with zero pairwise
-    weights the result equals thresholding the input map at 0.5.
+    by every step.  The field stays a plain array between steps; only the
+    final one, which the argmax reads, is checked as a MarginalField.  Argmax
+    ties resolve to foreground, so with zero pairwise weights the result
+    equals thresholding the input map at 0.5.
     """
     if p.values.shape != image.values.shape:
         raise ValueError("field, image, and unary dimensions must agree")
     unary = unary_from_prob(p)
     messages = _potts_messages(image.values, params, method)
-    field = initial_field(unary)
+    q = _softmax2(-unary)
     for _ in range(params.steps):
-        field = MarginalField(_softmax2(-unary - messages(field.q)))
+        q = _softmax2(-unary - messages(q))
+    field = MarginalField(q)
     return BinaryMask((field.q[:, :, 1] >= field.q[:, :, 0]).astype(np.uint8))

@@ -555,11 +555,12 @@ def train(
 _CHECKPOINT_MAGIC = "multihead-segmenter-params v1"
 
 
+def _layout_lines() -> list[str]:
+    return [name + " " + " ".join(str(d) for d in shape) for name, shape in PARAM_SHAPES.items()]
+
+
 def save_params(path: str, params: SegmenterParams) -> None:
-    lines = [_CHECKPOINT_MAGIC]
-    for name, shape in PARAM_SHAPES.items():
-        lines.append(name + " " + " ".join(str(d) for d in shape))
-    lines.append("end")
+    lines = [_CHECKPOINT_MAGIC, *_layout_lines(), "end"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         for name in PARAM_SHAPES:
@@ -569,21 +570,23 @@ def save_params(path: str, params: SegmenterParams) -> None:
 def load_params(path: str) -> SegmenterParams:
     with open(path, "rb") as fh:
         data = fh.read()
-    end = data.index(b"\nend\n") + len(b"\nend\n")
-    header = data[:end].decode("ascii").splitlines()
+    end = data.find(b"\nend\n")
+    if end < 0:
+        raise ValueError(f"{path}: checkpoint header has no 'end' line")
+    end += len(b"\nend\n")
+    header = data[:end].decode("ascii", errors="replace").splitlines()
     if header[0] != _CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: unrecognized checkpoint header {header[0]!r}")
-    entries = []
-    for line in header[1:-1]:
-        parts = line.split()
-        entries.append((parts[0], tuple(int(d) for d in parts[1:])))
-    if [(n, s) for n, s in entries] != list(PARAM_SHAPES.items()):
+    if header[1:-1] != _layout_lines():
         raise ValueError(f"{path}: checkpoint layout does not match the reference architecture")
+    counts = {name: int(np.prod(shape)) for name, shape in PARAM_SHAPES.items()}
+    needed = 8 * sum(counts.values())
+    if len(data) - end < needed:
+        raise ValueError(f"{path}: checkpoint needs {needed} bytes of parameters, the file has {len(data) - end}")
     tensors = {}
     offset = end
-    for name, shape in entries:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
+    for name, shape in PARAM_SHAPES.items():
+        arr = np.frombuffer(data, dtype="<f8", count=counts[name], offset=offset).reshape(shape)
         tensors[name] = arr.astype(np.float64)
-        offset += count * 8
+        offset += counts[name] * 8
     return SegmenterParams(tensors)

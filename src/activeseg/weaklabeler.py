@@ -168,11 +168,18 @@ def save_ensemble(path: str, ensemble: CrfEnsemble, spec: PerturbSpec) -> None:
 
 
 def load_ensemble(path: str) -> Tuple[CrfEnsemble, PerturbSpec]:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    """Read a snapshot written by save_ensemble.  A malformed snapshot raises
+    a ValueError naming the file and the missing or bad entry."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _parse_snapshot(fh.read().splitlines())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_snapshot(lines: list[str]) -> Tuple[CrfEnsemble, PerturbSpec]:
     if not lines or lines[0] != _SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not an ensemble snapshot")
+        raise ValueError("not an ensemble snapshot")
     sections: dict[str, list[str]] = {"": []}
     current = ""
     for line in lines[1:]:
@@ -181,15 +188,36 @@ def load_ensemble(path: str) -> Tuple[CrfEnsemble, PerturbSpec]:
             sections[current] = []
         else:
             sections[current].append(line)
-    head = dict(l.split("=", 1) for l in sections[""] if l.strip())
-    seed = int(head["seed"])
-    m = int(head["members"])
-    pert = dict(l.split("=", 1) for l in sections["perturb"] if l.strip())
+
+    def section(name: str) -> list[str]:
+        if name not in sections:
+            raise ValueError(f"missing section [{name}]")
+        return sections[name]
+
+    def entry(name: str, key: str, parse):
+        fields = {k.strip(): v.strip() for k, _, v in (l.partition("=") for l in section(name) if l.strip())}
+        where = f"section [{name}]" if name else "the header"
+        if key not in fields:
+            raise ValueError(f"missing key {key}= in {where}")
+        try:
+            return parse(fields[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"bad value {key}={fields[key]!r} in {where}") from None
+
+    def params(name: str) -> CrfParams:
+        text = "\n".join(section(name))
+        try:
+            return CrfParams.from_text(text)
+        except ValueError as exc:
+            raise ValueError(f"section [{name}]: {exc}") from None
+
+    seed = entry("", "seed", int)
+    m = entry("", "members", int)
     spec = PerturbSpec(
-        relative_sigma=float(pert["relative_sigma"]),
-        floor=float(pert["floor"]),
-        perturb_steps=pert["perturb_steps"] == "True",
+        relative_sigma=entry("perturb", "relative_sigma", float),
+        floor=entry("perturb", "floor", float),
+        perturb_steps=entry("perturb", "perturb_steps", {"True": True, "False": False}.__getitem__),
     )
-    center = CrfParams.from_text("\n".join(sections["center"]))
-    members = tuple(CrfParams.from_text("\n".join(sections[f"member {k}"])) for k in range(m))
+    center = params("center")
+    members = tuple(params(f"member {k}") for k in range(m))
     return CrfEnsemble(members=members, center=center, rng_seed=seed), spec

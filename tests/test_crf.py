@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from activeseg import crf as crf_module
 from activeseg.alloop import ALConfig
 from activeseg.core import BinaryMask, ImageGrid, ProbMap, binarize, dice
 from activeseg.crf import (
@@ -364,3 +368,45 @@ class TestWindowedBitIdentity:
             assert np.array_equal(mask.values, oracles.per_offset_windowed_infer(image.values, u, params))
             compared += 1
         assert compared >= 8
+
+
+GAUSSIAN_SDIMS = (0.7, 1.0, 1.3, 1.7, 2.2, 2.7, 3.3)
+
+
+def message_field(rng, kind, shape):
+    if kind == "random":
+        return rng.uniform(0, 1, shape)
+    if kind == "binary":
+        return (rng.uniform(0, 1, shape) > 0.5).astype(np.float64)
+    return np.full(shape, 0.37)
+
+
+class TestGaussianMessageSummationOrder:
+    """The numpy separable filter against scipy's correlate1d (oracles.py),
+    bit for bit.  Only scipy's symmetric order, farthest offset pair first,
+    gives equal floats on every case; nearest first differs on most."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (3, 40), (8, 20), (17, 23), (32, 32), (192, 240)])
+    def test_equals_correlate1d(self, shape):
+        rng = np.random.default_rng(12)
+        differing = []
+        for sdims in GAUSSIAN_SDIMS:
+            for kind in ("random", "binary", "constant"):
+                q = message_field(rng, kind, shape)
+                ours = crf_module._gaussian_message(np.stack([q, 1.0 - q]), sdims)
+                ref = np.stack([oracles._gaussian_message(q, sdims), oracles._gaussian_message(1.0 - q, sdims)])
+                if not np.array_equal(ours, ref):
+                    differing.append((sdims, kind))
+        assert differing == []
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crf_module.__file__)))
+    code = (
+        "import sys, activeseg, activeseg.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

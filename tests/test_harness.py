@@ -406,6 +406,78 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path]) == 1
         assert capsys.readouterr().err.startswith("error: dataset has 0 samples but the split needs ")
 
+    @staticmethod
+    def refine_inputs(tmp_path):
+        from activeseg.core import image_to_pgm, write_pgm
+        from activeseg.weaklabeler import build_ensemble, save_ensemble
+
+        rng = np.random.default_rng(1)
+        paths = {"image": str(tmp_path / "img.pgm"), "prob": str(tmp_path / "prob.pgm"),
+                 "ensemble": str(tmp_path / "ens.txt")}
+        image_to_pgm(paths["image"], ImageGrid(rng.uniform(0, 1, (8, 8))))
+        write_pgm(paths["prob"], (rng.uniform(0, 1, (8, 8)) * 255).astype(np.uint8))
+        save_ensemble(paths["ensemble"], build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PerturbSpec(), 0),
+                      PerturbSpec())
+        return paths
+
+    @staticmethod
+    def one_line_error(capsys, argv, path, text):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ")
+        assert text in err
+
+    def refine_argv(self, paths, tmp_path):
+        return ["refine", "--image", paths["image"], "--prob", paths["prob"],
+                "--ensemble", paths["ensemble"], "--out", str(tmp_path / "mask.pgm")]
+
+    @pytest.mark.parametrize("drop, text", [
+        ("seed=0", "missing key seed= in the header"),
+        ("members=3", "missing key members= in the header"),
+        ("[perturb]", "missing section [perturb]"),
+        ("[member 2]", "missing section [member 2]"),
+    ])
+    def test_malformed_snapshot_is_one_line_error(self, tmp_path, capsys, drop, text):
+        paths = self.refine_inputs(tmp_path)
+        with open(paths["ensemble"]) as fh:
+            lines = fh.read().splitlines()
+        assert drop in lines
+        with open(paths["ensemble"], "w") as fh:
+            fh.write("\n".join(l for l in lines if l != drop) + "\n")
+        self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["ensemble"], text)
+
+    @pytest.mark.parametrize("which", ["image", "prob"])
+    @pytest.mark.parametrize("cut, text", [
+        (lambda raw: raw[:-5], "a 8x8 PGM needs 64 raster bytes, the file has 59"),
+        (lambda raw: b"P5\n8", "PGM header ends after 2 of its 4 fields"),
+        (lambda raw: b"P5\n8 x\n255\n" + raw[-64:], "PGM width, height and maxval must be integers"),
+    ], ids=["truncated_raster", "header_only", "non_integer_size"])
+    def test_malformed_pgm_is_one_line_error(self, tmp_path, capsys, which, cut, text):
+        paths = self.refine_inputs(tmp_path)
+        with open(paths[which], "rb") as fh:
+            raw = fh.read()
+        with open(paths[which], "wb") as fh:
+            fh.write(cut(raw))
+        self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths[which], text)
+
+    @pytest.mark.parametrize("cut, text", [
+        (lambda raw: raw.replace(b"\nend\n", b"\n"), "checkpoint header has no 'end' line"),
+        (lambda raw: raw[:-8], "checkpoint needs"),
+    ], ids=["no_end_line", "truncated_data"])
+    def test_malformed_checkpoint_is_one_line_error(self, tmp_path, capsys, cut, text):
+        from activeseg.segmenter import init_params, save_params
+
+        data_dir = write_dataset(str(tmp_path / "data"), [16] * 2)
+        ckpt = str(tmp_path / "ckpt.bin")
+        save_params(ckpt, init_params(0))
+        with open(ckpt, "rb") as fh:
+            raw = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(cut(raw))
+        argv = ["score", "--checkpoint", ckpt, "--data", data_dir, "--out", str(tmp_path / "scores.csv")]
+        self.one_line_error(capsys, argv, ckpt, text)
+
     def test_score_pads_unaligned_images(self, tmp_path):
         from activeseg.segmenter import init_params, save_params
 
