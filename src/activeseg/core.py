@@ -255,6 +255,8 @@ def read_pgm(path: str) -> np.ndarray:
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: PGM width and height must be positive, got {width}x{height}")
     pos += 1  # single whitespace byte after the header
     if len(data) - pos < height * width:
         raise ValueError(f"{path}: a {width}x{height} PGM needs {height * width} raster bytes, "

@@ -9,21 +9,24 @@ a foreground-probability map.  Two message-passing paths are provided:
   The spatial kernel is a numpy separable filter in SciPy's summation order,
   equal bit for bit to ``ndimage.correlate1d``.  The bilateral range weights
   ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, for half
-  of the offsets (the kernel is symmetric), and shared by both labels and
-  every mean-field step.  Each step still visits every offset in the window,
-  so its cost stays O(r**2 * H * W) for window radius r; the published
+  of the offsets (the kernel is symmetric), as one dense flat array per
+  offset row, and shared by both labels and every mean-field step.  A step
+  adds each offset row's terms with one ordered np.add.reduce, in the same
+  order as a loop over the offsets, so the floats are the same.  Its cost
+  stays O(r**2 * H * W) for window radius r; the published
   SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
   bilateral grid or permutohedral lattice replaces the window.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import BinaryMask, ImageGrid, ProbMap
 
@@ -52,6 +55,11 @@ class CrfParams:
     steps: int
 
     def __post_init__(self):
+        for name in ("gaussian_sdims", "gaussian_compat", "bilateral_sdims", "bilateral_schan", "bilateral_compat"):
+            value = getattr(self, name)
+            # inf overflows the kernel radius; a nan compat would switch its kernel off (nan > 0.0 is false)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("gaussian_sdims", "bilateral_sdims", "bilateral_schan"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -207,60 +215,84 @@ def _gaussian_message(q: np.ndarray, sdims: float) -> np.ndarray:
     return acc
 
 
-def _spans(d: int, n: int) -> tuple[slice, slice]:
-    """Target and source index ranges along an axis of length n for offset d."""
-    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
+def _bilateral_table(image: np.ndarray, sdims: float, schan: float) -> list[np.ndarray]:
+    """Windowed bilateral kernel k(i, i + o) for the half of the offsets
+    o = (dy, dx) with dy > 0, or dy = 0 and dx > 0.
 
-
-def _bilateral_table(image: np.ndarray, sdims: float, schan: float):
-    """Windowed bilateral kernel k(i, i + o) for every offset o = (dy, dx),
-    as (weights, target, source) in row-major offset order, (0, 0) excluded.
-
-    Only the half with dy > 0, or dy = 0 and dx > 0, is computed; offset -o
-    reuses the array of o, because k(i, i + o) = k(i + o, i) bit for bit
-    ((a - b)**2 == (b - a)**2 in IEEE arithmetic).  Offsets longer than an
-    axis pair no pixels and are left out.
+    Entry dy (0 ... ry) has shape (2 rx + 1, (H - dy) * W): row rx + dx holds
+    k(i, i + o) for the pixels i of raster rows 0 ... H - dy - 1, flattened
+    row-major.  It is exactly 0 where x + dx leaves the raster (an inf border
+    makes exp give 0 there) and, for dy = 0, where dx <= 0.  The other half
+    is the mirror image: k(i, i - o) = k(i - o, i) bit for bit, because
+    (a - b)**2 == (b - a)**2 in IEEE arithmetic.
     """
     h, w = image.shape
     radius = _kernel_radius(sdims, image.shape)
     ry, rx = min(radius, h - 1), min(radius, w - 1)
-    rows = {dy: _spans(dy, h) for dy in range(-ry, ry + 1)}
-    cols = {dx: _spans(dx, w) for dx in range(-rx, rx + 1)}
     inv_spatial = 1.0 / (2.0 * sdims**2)
     inv_chan = 1.0 / (2.0 * schan**2)
-    padded = np.pad(image, ((0, 0), (rx, rx)), constant_values=np.nan)
-    half = {}
+    padded = np.pad(image, ((0, 0), (rx, rx)), constant_values=np.inf)
+    # near[k, y, x] = image[y, x + dx] for dx = k - rx (inf off the raster)
+    near = sliding_window_view(padded, 2 * rx + 1, axis=1).transpose(2, 0, 1)
+    table = []
     for dy in range(ry + 1):
         first = -rx if dy > 0 else 1
-        dxs = range(first, rx + 1)
-        ws = np.array([np.exp(-(dy * dy + dx * dx) * inv_spatial) for dx in dxs])
-        # near[k, y, x] = image[y + dy, x + dx] for dx = k - rx (NaN off the raster)
-        near = sliding_window_view(padded[dy:], 2 * rx + 1, axis=1).transpose(2, 0, 1)
-        diff = image[: h - dy] - near[rx + first :]
-        weights = ws[:, None, None] * np.exp(-(diff**2) * inv_chan)
-        for k, dx in enumerate(dxs):
-            half[dy, dx] = weights[k, :, cols[dx][0]].copy()
-    table = []
-    for dy, (tgt_r, src_r) in rows.items():
-        for dx, (tgt_c, src_c) in cols.items():
-            if dy == 0 and dx == 0:
-                continue
-            weights = half[dy, dx] if (dy, dx) in half else half[-dy, -dx]
-            table.append((weights, (slice(None), tgt_r, tgt_c), (slice(None), src_r, src_c)))
+        ws = np.array([np.exp(-(dy * dy + dx * dx) * inv_spatial) for dx in range(first, rx + 1)])
+        diff = image[: h - dy] - near[rx + first :, dy:]
+        weights = np.zeros((2 * rx + 1, h - dy, w))
+        np.multiply(ws[:, None, None], np.exp(-(diff**2) * inv_chan), out=weights[rx + first :])
+        table.append(weights.reshape(2 * rx + 1, (h - dy) * w))
     return table
 
 
-def _bilateral_messages(q: np.ndarray, table) -> np.ndarray:
+def _bilateral_messages(q: np.ndarray, table: list[np.ndarray]) -> np.ndarray:
     """Windowed bilateral sum_j k(i, j) q[l, j] for each channel l of q
     (shape (L, H, W)), excluding j = i.
 
-    Every pixel adds its terms in the table's row-major offset order; the
-    recorded reference outcomes depend on those exact float bits.
+    Every pixel adds its terms in row-major offset order, one np.add.reduce
+    over axis 0 per offset row dy: plane 0 is the running sum, the planes
+    after it the terms of dx = -rx ... rx, added one after another.  The
+    recorded reference outcomes depend on those exact float bits.  Flat
+    reads that wrap into the next raster row meet zero weights; every term
+    is >= 0 and the sum starts at +0.0, so their +0.0 terms change no bit.
     """
-    acc = np.zeros_like(q)
-    for weights, target, source in table:
-        acc[target] += weights * q[source]
-    return acc
+    n_ch, h, w = q.shape
+    size = h * w
+    width = table[0].shape[0]  # 2 rx + 1
+    rx = width // 2
+    flat = q.reshape(n_ch, size)
+    acc = np.zeros((n_ch, size))
+    item = acc.itemsize
+    padded = np.zeros((n_ch, size + 2 * rx))
+    padded[:, rx : rx + size] = flat
+    # source[k, l, j] = q[l, j + dx] for dx = k - rx, zero off the flat raster
+    source = as_strided(padded, (width, n_ch, size), (item, padded.strides[0], item), writeable=False)
+    # Products stored in plane p >= 1 from column rx + 1 are read back through
+    # `shifted`, p columns to the right of plane 0: shifted by dx = p - 1 - rx,
+    # with zeros beyond both ends.  The offset rows dy < 0 come first, growing in
+    # length, so no earlier row has written where a later one reads zeros.
+    scratch = np.zeros((width + 1, n_ch, size + width))
+    shifted = as_strided(
+        scratch, (width + 1, n_ch, size), (scratch.strides[0] + item, scratch.strides[1], item), writeable=False
+    )
+    # offsets -o, up to (0, -1): the term at pixel i is the product table[o] * q taken at pixel i - o
+    for dy in range(1 - len(table), 1):
+        weights = table[-dy][::-1] if dy < 0 else table[0][:rx:-1]
+        planes, pixels = weights.shape[0] + 1, weights.shape[1]
+        target = acc[:, size - pixels :]
+        np.multiply(weights[:, None, :], flat[None, :, :pixels], out=scratch[1:planes, :, rx + 1 : rx + 1 + pixels])
+        scratch[0, :, :pixels] = target
+        np.add.reduce(shifted[:planes, :, :pixels], axis=0, out=target)
+    # offsets o, from (0, 1) on: the term at pixel i is table[o] at i times q at i + o;
+    # these rows write over the zero border, so they come last
+    for dy in range(len(table)):
+        weights = table[dy] if dy > 0 else table[0][rx + 1 :]
+        planes, pixels = weights.shape[0] + 1, weights.shape[1]
+        near = source[width + 1 - planes :, :, dy * w : dy * w + pixels]
+        np.multiply(weights[:, None, :], near, out=scratch[1:planes, :, :pixels])
+        scratch[0, :, :pixels] = acc[:, :pixels]
+        np.add.reduce(scratch[:planes, :, :pixels], axis=0, out=acc[:, :pixels])
+    return acc.reshape(n_ch, h, w)
 
 
 def _exact_kernel_matrices(image: np.ndarray, params: CrfParams):

@@ -74,11 +74,13 @@ def _bilateral_message(q_l, image, sdims, schan):
     """Windowed bilateral sum_j k(i, j) q_j, excluding j = i."""
     h, w = q_l.shape
     radius = _kernel_radius(sdims, q_l.shape)
+    # offsets longer than an axis pair no pixels
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
     acc = np.zeros_like(q_l)
     inv_spatial = 1.0 / (2.0 * sdims**2)
     inv_chan = 1.0 / (2.0 * schan**2)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
             if dy == 0 and dx == 0:
                 continue
             ws = np.exp(-(dy * dy + dx * dx) * inv_spatial)
@@ -99,8 +101,7 @@ def _softmax2(neg_energy):
 
 def per_offset_windowed_step(q, image, unary, params):
     """One windowed mean-field update that recomputes every bilateral weight
-    for each label, offset by offset.  Needs a raster no thinner than the
-    bilateral kernel radius."""
+    for each label, offset by offset."""
     h, w = image.shape
     messages = np.zeros((h, w, 2))
     for label in (0, 1):

@@ -360,6 +360,8 @@ class TestCli:
         "loss.alpha_l=0.5",
         "crf.bilateral.schan=0",
         "train.loss=l2",
+        "crf.gaussian.sdims=inf",
+        "crf.bilateral.compat=nan",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")
@@ -447,12 +449,31 @@ class TestCli:
             fh.write("\n".join(l for l in lines if l != drop) + "\n")
         self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["ensemble"], text)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("center", "gaussian.sdims", "inf"),
+        ("member 1", "bilateral.compat", "nan"),
+    ])
+    def test_non_finite_snapshot_value_is_one_line_error(self, tmp_path, capsys, section, key, value):
+        paths = self.refine_inputs(tmp_path)
+        with open(paths["ensemble"]) as fh:
+            lines = fh.read().splitlines()
+        start = lines.index(f"[{section}]")
+        row = next(i for i in range(start + 1, len(lines)) if lines[i].startswith(f"{key}="))
+        lines[row] = f"{key}={value}"
+        with open(paths["ensemble"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        field = key.replace(".", "_")
+        self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["ensemble"],
+                            f"section [{section}]: {field} must be finite, got {value}")
+
     @pytest.mark.parametrize("which", ["image", "prob"])
     @pytest.mark.parametrize("cut, text", [
         (lambda raw: raw[:-5], "a 8x8 PGM needs 64 raster bytes, the file has 59"),
         (lambda raw: b"P5\n8", "PGM header ends after 2 of its 4 fields"),
         (lambda raw: b"P5\n8 x\n255\n" + raw[-64:], "PGM width, height and maxval must be integers"),
-    ], ids=["truncated_raster", "header_only", "non_integer_size"])
+        (lambda raw: b"P5\n0 0\n255\n", "PGM width and height must be positive, got 0x0"),
+        (lambda raw: b"P5\n0 4\n255\n", "PGM width and height must be positive, got 0x4"),
+    ], ids=["truncated_raster", "header_only", "non_integer_size", "zero_size", "zero_width"])
     def test_malformed_pgm_is_one_line_error(self, tmp_path, capsys, which, cut, text):
         paths = self.refine_inputs(tmp_path)
         with open(paths[which], "rb") as fh:
