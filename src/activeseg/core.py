@@ -53,7 +53,7 @@ class BinaryMask:
 
     def __post_init__(self):
         raw = np.asarray(self.values)
-        if not np.isin(raw, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("mask values must be strictly binary")
         object.__setattr__(self, "values", _frozen(raw, np.uint8))
         if self.values.ndim != 2 or min(self.values.shape) < 1:

@@ -55,8 +55,10 @@ class SyntheticSpec:
             raise ValueError("occlusion_prob must lie in [0, 1]")
 
 
-def _draw_mask(rng: np.random.Generator, size: int, shape: str) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+def _draw_mask(rng: np.random.Generator, grid: np.ndarray, shape: str) -> np.ndarray:
+    """grid is the (2, size, size) float64 row and column coordinate grid."""
+    yy, xx = grid
+    size = yy.shape[0]
     if shape == "ellipse":
         cy, cx = rng.uniform(0.3 * size, 0.7 * size, size=2)
         a = rng.uniform(0.1 * size, 0.38 * size)
@@ -82,11 +84,11 @@ def _draw_mask(rng: np.random.Generator, size: int, shape: str) -> np.ndarray:
     return (bumps >= 0.5 * bumps.max()).astype(np.uint8)
 
 
-def _render(rng: np.random.Generator, mask: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
+def _render(rng: np.random.Generator, mask: np.ndarray, spec: SyntheticSpec, grid: np.ndarray) -> np.ndarray:
     size = spec.image_size
     img = np.where(mask == 1, FOREGROUND_INTENSITY, BACKGROUND_INTENSITY)
     if rng.uniform() < spec.occlusion_prob:
-        yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+        yy, xx = grid
         cy, cx = rng.uniform(0.0, size, size=2)
         radius = rng.uniform(0.25 * size, 0.55 * size)
         contrast = rng.uniform(*OCCLUSION_CONTRAST_RANGE)
@@ -101,17 +103,18 @@ def _render(rng: np.random.Generator, mask: np.ndarray, spec: SyntheticSpec) -> 
 def generate_synthetic(spec: SyntheticSpec) -> list[Sample]:
     """Deterministic corpus of noisy single-shape images with clean masks."""
     rng = np.random.default_rng(spec.seed)
+    grid = np.mgrid[0 : spec.image_size, 0 : spec.image_size].astype(np.float64)
     samples = []
     lo, hi = FG_FRACTION_RANGE
     for i in range(spec.n_samples):
         for _ in range(200):
-            mask = _draw_mask(rng, spec.image_size, spec.shape)
+            mask = _draw_mask(rng, grid, spec.shape)
             frac = mask.mean()
             if lo <= frac <= hi:
                 break
         else:
             raise RuntimeError("could not draw a shape with admissible foreground fraction")
-        img = _render(rng, mask, spec)
+        img = _render(rng, mask, spec, grid)
         samples.append(
             Sample(
                 id=f"synth-{spec.seed:06d}-{i:05d}",

@@ -18,6 +18,13 @@ Architecture (input H x W, both divisible by 4):
 
 Heads are 1x1 convs + sigmoid: lower on the bottleneck (NN x4 to full
 size), middle on dec1 (NN x2), final on dec2.
+
+Passes run on a plan of preallocated buffers (``_ForwardPlan``,
+``_StepPlan``) with the 3x3 kernels in their (9*C, O) gemm layout.  ``train``
+builds one step plan per call and runs every step as a fixed sequence of
+gemms and ``out=`` numpy calls on it; ``forward`` and ``backward`` build a
+plan per call.  Every float equals that of the allocating reference loop in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -105,6 +112,10 @@ class LossWeights:
     alpha_f: float = 0.6
 
     def __post_init__(self):
+        for name in ("alpha_l", "alpha_m", "alpha_f"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         weights = (self.alpha_l, self.alpha_m, self.alpha_f)
         if any(w < 0 for w in weights):
             raise ValueError("loss weights must be nonnegative")
@@ -127,6 +138,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0:
             raise ValueError("learning rate and batch size must be positive")
         if self.loss_kind not in LOSS_KINDS:
@@ -148,174 +161,345 @@ def init_params(seed: int) -> SegmenterParams:
 
 
 # ---------------------------------------------------------------------------
+# parameter layout: one flat vector per parameter set, 3x3 conv kernels kept
+# as their (9*C, O) gemm operand (row (dy, dx, c), column o holds
+# k[o, c, dy, dx]) for as long as a call works on them
+# ---------------------------------------------------------------------------
+
+_CONVS = ("enc1", "enc2", "bottleneck", "dec1", "dec2")
+# raster scale of each conv (1 = input size, 2 = half, 4 = quarter)
+_CONV_SCALE = {"enc1": 1, "enc2": 2, "bottleneck": 4, "dec1": 2, "dec2": 1}
+
+
+def _gemm_shape(name: str) -> Tuple[int, ...]:
+    shape = PARAM_SHAPES[name]
+    if name.endswith(".kernel") and shape[2:] == (3, 3):
+        return (9 * shape[1], shape[0])
+    return shape
+
+
+def _act_key(name: str) -> str:
+    """Names the activation shape of a conv (raster scale x channels); the
+    buffers of same-shaped activations and their gradients are shared."""
+    return f"{_CONV_SCALE[name]}x{PARAM_SHAPES[f'{name}.kernel'][0]}"
+
+
+_PARAM_SIZE = sum(math.prod(shape) for shape in PARAM_SHAPES.values())
+
+
+def _param_views(flat: np.ndarray) -> Dict[str, np.ndarray]:
+    """name -> view of a flat parameter vector, conv kernels in gemm layout."""
+    views, offset = {}, 0
+    for name in PARAM_SHAPES:
+        shape = _gemm_shape(name)
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _gemm_params(tensors: Dict[str, np.ndarray], dtype) -> np.ndarray:
+    """The canonical tensors cast to dtype, packed into one flat vector."""
+    flat = np.empty(_PARAM_SIZE, dtype)
+    for name, view in _param_views(flat).items():
+        k = tensors[name]
+        if view.shape != k.shape:  # (O, C, 3, 3) -> (3, 3, C, O) rows
+            view, k = view.reshape(3, 3, k.shape[1], k.shape[0]), k.transpose(2, 3, 1, 0)
+        np.copyto(view, k)
+    return flat
+
+
+def _canonical(views: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Gemm-layout views back in the PARAM_SHAPES layout (copies)."""
+    out = {}
+    for name, shape in PARAM_SHAPES.items():
+        v = views[name]
+        if v.shape != shape:
+            v = v.reshape(3, 3, shape[1], shape[0]).transpose(3, 2, 0, 1)
+        out[name] = np.ascontiguousarray(v)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # numpy layer primitives (batch layout N, H, W, C; channels-last keeps every
 # conv a single flat gemm over the trailing axis)
 # ---------------------------------------------------------------------------
 
 
-Workspace = Dict[tuple, np.ndarray]
+class _Conv:
+    """One 3x3 same-pad conv on preallocated buffers: the zero-bordered
+    (N, H+2, W+2, C) input, whose interior callers write and whose border
+    stays zero; its (N, H, W, 3, 3, C) window view; the im2col matrix, columns
+    in (dy, dx, c) order; and the (N, H, W, O) gemm output."""
+
+    def __init__(self, bordered: np.ndarray, cols: np.ndarray, out: np.ndarray):
+        n, hp, wp, c = bordered.shape
+        sn, sh, sw, sc = bordered.strides
+        self.inner = bordered[:, 1:-1, 1:-1]
+        self.windows = as_strided(bordered, (n, hp - 2, wp - 2, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False)
+        self.cols6 = cols
+        self.cols = cols.reshape(n * (hp - 2) * (wp - 2), 9 * c)
+        self.out = out
+        self.out2d = out.reshape(-1, out.shape[3])
+
+    def im2col(self) -> np.ndarray:
+        np.copyto(self.cols6, self.windows)
+        return self.cols
+
+    def __call__(self, kmat: np.ndarray) -> np.ndarray:
+        """out = im2col(input) @ kmat, with kmat the (9*C, O) gemm operand."""
+        np.matmul(self.im2col(), kmat, out=self.out2d)
+        return self.out
 
 
-def _buffer(ws: Optional[Workspace], key: tuple, shape: Tuple[int, ...], dtype, fill=np.zeros) -> np.ndarray:
-    """A `fill`-made array of `shape`, kept in the workspace when one is given.
-
-    A workspace buffer is keyed by `key` and by `shape` without its batch
-    axis, and is sized for the largest batch it has seen; a smaller batch
-    gets a ``[:n]`` view of it.
-    """
-    if ws is None:
-        return fill(shape, dtype)
-    slot = (key, shape[1:], np.dtype(dtype))
-    buf = ws.get(slot)
-    if buf is None or len(buf) < shape[0]:
-        buf = ws[slot] = fill(shape, dtype)
-    return buf[: shape[0]]
-
-
-def _bordered(shape: Tuple[int, ...], dtype, ws: Optional[Workspace] = None, key: str = "") -> np.ndarray:
-    """Zero-bordered (N, H+2, W+2, C) buffer for a conv input of shape
-    (N, H, W, C).  Callers write only its interior ``[:, 1:-1, 1:-1]``, so a
-    workspace buffer keeps the border it was allocated with."""
-    n, h, w, c = shape
-    return _buffer(ws, (key, "bordered"), (n, h + 2, w + 2, c), dtype)
-
-
-def _border(x: np.ndarray, ws: Optional[Workspace] = None, key: str = "") -> np.ndarray:
-    """x (N, H, W, C) with a one-pixel zero border (the 3x3 same padding)."""
-    xp = _bordered(x.shape, x.dtype, ws, key)
-    xp[:, 1:-1, 1:-1] = x
-    return xp
-
-
-def _border_upsampled_skip(low: np.ndarray, skip: np.ndarray, ws: Optional[Workspace], key: str) -> np.ndarray:
-    """Bordered concat of (NN x2 upsample of low, skip) on the channel axis,
-    both written straight into the interior."""
-    n, h, w, c = skip.shape
-    cl = low.shape[3]
-    xp = _bordered((n, h, w, cl + c), low.dtype, ws, key)
-    inner = xp[:, 1:-1, 1:-1]
-    inner[..., :cl] = _upsample(low, 2)
-    inner[..., cl:] = skip
-    return xp
-
-
-def _im2col(xp: np.ndarray, ws: Optional[Workspace] = None, key: str = "") -> np.ndarray:
-    """Unfold the 3x3 windows of a zero-bordered (N, H+2, W+2, C) input:
-    (N*H*W, 9*C), columns in (dy, dx, c) order, one strided copy."""
-    n, hp, wp, c = xp.shape
-    sn, sh, sw, sc = xp.strides
-    win = as_strided(xp, (n, hp - 2, wp - 2, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False)
-    cols = _buffer(ws, (key, "cols"), win.shape, xp.dtype, np.empty)
-    np.copyto(cols, win)
-    return cols.reshape(n * (hp - 2) * (wp - 2), 9 * c)
-
-
-def _kernel_matrix(k: np.ndarray) -> np.ndarray:
-    """(O, C, 3, 3) parameter tensor as a (9*C, O) gemm operand."""
-    return np.ascontiguousarray(k.transpose(2, 3, 1, 0)).reshape(-1, k.shape[0])
-
-
-def _conv3x3(cols: np.ndarray, k: np.ndarray, b: np.ndarray, out_shape: Tuple[int, ...]) -> np.ndarray:
-    return (cols @ _kernel_matrix(k) + b).reshape(out_shape[:3] + (k.shape[0],))
-
-
-def _conv3x3_input_grad(dout: np.ndarray, k: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
-    """Same-pad stride-1 transpose: convolve the output gradient with the
-    180-degree-rotated kernel, channel roles swapped.  Its workspace buffers
-    are keyed by shape only: no two calls are ever live at once."""
-    kt = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C, O, 3, 3)
-    n, h, w, _ = dout.shape
-    cols = _im2col(_border(dout, ws, "dgrad"), ws, "dgrad")
-    return _conv3x3(cols, kt, np.zeros(kt.shape[0], dtype=dout.dtype), (n, h, w))
-
-
-def _conv3x3_param_grad(cols: np.ndarray, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    o = dout.shape[3]
-    c = cols.shape[1] // 9
-    dkm = cols.T @ dout.reshape(-1, o)  # (9*C, O)
-    dk = np.ascontiguousarray(dkm.reshape(3, 3, c, o).transpose(3, 2, 0, 1))
-    return dk, dout.sum(axis=(0, 1, 2))
-
-
-def _conv1x1(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ k[:, :, 0, 0].T + b
-
-
-def _maxpool2(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _blocks(x: np.ndarray, factor: int) -> np.ndarray:
+    """(N, H, W, C) as its (N, H/f, f, W/f, f, C) view."""
     n, h, w, c = x.shape
-    xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, w // 2, c, 4)
-    idx = xr.argmax(axis=-1)
-    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    return x.reshape(n, h // factor, factor, w // factor, factor, c)
 
 
-def _maxpool2_grad(dout: np.ndarray, idx: np.ndarray, in_shape: Tuple[int, ...]) -> np.ndarray:
-    n, h, w, c = in_shape
-    dxr = np.zeros((n, h // 2, w // 2, c, 4), dtype=dout.dtype)
-    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-    return (
-        dxr.reshape(n, h // 2, w // 2, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, h, w, c)
-    )
+def _maxpool2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2x2 max pooling of x (N, H, W, C) into out (N, H/2, W/2, C): the max of
+    the four strided window views."""
+    np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2], out=out)
+    np.maximum(out, x[:, 1::2, 0::2], out=out)
+    return np.maximum(out, x[:, 1::2, 1::2], out=out)
 
 
-def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
-    return x.repeat(factor, axis=1).repeat(factor, axis=2)
-
-
-def _upsample_grad(dout: np.ndarray, factor: int) -> np.ndarray:
-    n, h, w, c = dout.shape
-    return dout.reshape(n, h // factor, factor, w // factor, factor, c).sum(axis=(2, 4))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _maxpool2_grad(dout, x, pooled, out, hit, free) -> np.ndarray:
+    """Route dout (N, H/2, W/2, C) to the first element of each 2x2 window of
+    x that equals its pooled value, in argmax's (dy, dx) order, so ties go
+    where argmax sends them; out (N, H, W, C) is +0.0 elsewhere.  hit and free
+    are boolean scratch of dout's shape."""
+    out.fill(0.0)
+    free.fill(True)
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        np.equal(x[:, dy::2, dx::2], pooled, out=hit)
+        np.logical_and(hit, free, out=hit)
+        np.logical_xor(free, hit, out=free)
+        np.copyto(out[:, dy::2, dx::2], dout, where=hit)
     return out
+
+
+def _upsample_grad(dout: np.ndarray, factor: int, out: np.ndarray) -> np.ndarray:
+    """Block sums of the gradient of an NN upsample by factor."""
+    return _blocks(dout, factor).sum(axis=(2, 4), out=out)
+
+
+def _upsample2_grad(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_upsample_grad(dout, 2)`` for a channel slice dout of a gemm output,
+    as three adds of strided views.  On such a slice numpy's block sum adds
+    each window in row-major order, ((x00 + x01) + x10) + x11, from a +0.0
+    start that changes no sum here, since a gemm output holds no -0.0."""
+    np.add(dout[:, 0::2, 0::2], dout[:, 0::2, 1::2], out=out)
+    np.add(out, dout[:, 1::2, 0::2], out=out)
+    return np.add(out, dout[:, 1::2, 1::2], out=out)
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray, pos: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """out = 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, with
+    e = exp(-|z|), so exp never overflows.  z is overwritten; pos (bool) and
+    den are scratch of z's shape."""
+    np.greater_equal(z, 0, out=pos)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(z, 1.0, out=den)
+    np.divide(z, den, out=out)
+    return np.divide(1.0, den, out=out, where=pos)
+
+
+# ---------------------------------------------------------------------------
+# step plan: every buffer a forward (and backward) pass writes, allocated once
+# ---------------------------------------------------------------------------
+
+
+class _ForwardPlan:
+    """The buffers of one forward pass over a batch of N rasters, and the
+    pass itself.  Every buffer has the batch as its leading axis, so
+    ``batch(n)`` gives a plan on ``[:n]`` views of the same memory."""
+
+    def __init__(self, store: Dict[str, np.ndarray], n: int):
+        self.store, self.n = store, n
+        s = {key: arr[:n] for key, arr in store.items()}
+        self.convs = {name: _Conv(s[f"{name}.in"], s[f"{name}.cols"], s[f"{name}.out"]) for name in _CONVS}
+        self.bordered_x = s["enc1.in"]
+        self.x = self.convs["enc1"].inner
+        dec1, dec2 = self.convs["dec1"].inner, self.convs["dec2"].inner
+        self.dec1_up, self.dec1_skip = _blocks(dec1[..., :32], 2), dec1[..., 32:]
+        self.dec2_up, self.dec2_skip = _blocks(dec2[..., :16], 2), dec2[..., 16:]
+        self.bufs = s
+
+    @classmethod
+    def allocate(cls, n: int, h: int, w: int, dtype):
+        return cls(cls._store(n, h, w, dtype), n)
+
+    def batch(self, n: int):
+        return type(self)(self.store, n)
+
+    @staticmethod
+    def _store(n, h, w, dtype) -> Dict[str, np.ndarray]:
+        store = {}
+        for name in _CONVS:
+            o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
+            hh, ww = h // _CONV_SCALE[name], w // _CONV_SCALE[name]
+            store[f"{name}.in"] = np.zeros((n, hh + 2, ww + 2, c), dtype)
+            store[f"{name}.cols"] = np.empty((n, hh, ww, 3, 3, c), dtype)
+            store[f"{name}.out"] = np.empty((n, hh, ww, o), dtype)
+        for head, scale in (("lower", 4), ("middle", 2), ("final", 1)):
+            small = (n, h // scale, w // scale, 1)
+            store[f"z.{head}"] = np.empty(small, dtype)
+            store[f"pos.{head}"] = np.empty(small, bool)
+            store[f"den.{head}"] = np.empty(small, dtype)
+            store[f"sig.{head}"] = np.empty(small, dtype)
+            store[f"p.{head}"] = store[f"sig.{head}"] if scale == 1 else np.empty((n, h, w, 1), dtype)
+        return store
+
+    def forward(self, p: Dict[str, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, middle, final) foreground probabilities at input size for
+        the batch written into ``x``, with p the gemm-layout parameters.
+        Sigmoids run at head resolution, before the NN upsample."""
+        c, s = self.convs, self.bufs
+
+        def conv_relu(name):
+            out = c[name](p[f"{name}.kernel"])
+            np.add(out, p[f"{name}.bias"], out=out)
+            return np.maximum(out, 0.0, out=out)
+
+        a1 = conv_relu("enc1")
+        _maxpool2(a1, out=c["enc2"].inner)
+        a2 = conv_relu("enc2")
+        _maxpool2(a2, out=c["bottleneck"].inner)
+        a3 = conv_relu("bottleneck")
+        np.copyto(self.dec1_up, a3[:, :, None, :, None])
+        np.copyto(self.dec1_skip, a2)
+        d1 = conv_relu("dec1")
+        np.copyto(self.dec2_up, d1[:, :, None, :, None])
+        np.copyto(self.dec2_skip, a1)
+        d2 = conv_relu("dec2")
+
+        probs = []
+        for head, feat, factor in (("lower", a3, 4), ("middle", d1, 2), ("final", d2, 1)):
+            z = np.matmul(feat, p[f"head_{head}.kernel"][:, :, 0, 0].T, out=s[f"z.{head}"])
+            np.add(z, p[f"head_{head}.bias"], out=z)
+            sig = _sigmoid(z, s[f"sig.{head}"], s[f"pos.{head}"], s[f"den.{head}"])
+            if factor > 1:
+                np.copyto(_blocks(s[f"p.{head}"], factor), sig[:, :, None, :, None])
+            probs.append(s[f"p.{head}"])
+        return tuple(probs)
+
+
+class _StepPlan(_ForwardPlan):
+    """A forward plan plus the buffers of the backward pass.  The four
+    input-gradient convs share their bordered inputs and im2col matrices by
+    shape (dec1's and enc2's match): no two of them are live at once."""
+
+    def __init__(self, store, n):
+        super().__init__(store, n)
+        s = self.bufs
+        self.dgrad = {
+            name: _Conv(s[f"dgrad{_act_key(name)}.in"], s[f"dgrad{_act_key(name)}.cols"], s[f"{name}.dx"])
+            for name in _CONVS[1:]
+        }
+        # per input-gradient conv, the (9*O, C) gemm operand of its kernel
+        # turned 180 degrees with the channel roles swapped
+        self.flip = {}
+        for name in _CONVS[1:]:
+            o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
+            self.flip[name] = np.empty((9 * o, c), self.x.dtype)
+        self.t = s["t"]
+
+    @staticmethod
+    def _store(n, h, w, dtype):
+        store = _ForwardPlan._store(n, h, w, dtype)
+        for name in _CONVS:
+            o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
+            hh, ww = h // _CONV_SCALE[name], w // _CONV_SCALE[name]
+            key = _act_key(name)
+            store[f"mask{key}"] = np.empty((n, hh, ww, o), bool)
+            if name != "enc1":
+                store[f"{name}.dx"] = np.empty((n, hh, ww, c), dtype)
+                store[f"dgrad{key}.in"] = np.zeros((n, hh + 2, ww + 2, o), dtype)
+                store[f"dgrad{key}.cols"] = np.empty((n, hh, ww, 3, 3, o), dtype)
+        for head, feat in (("lower", "bottleneck"), ("middle", "dec1"), ("final", "dec2")):
+            store[f"dfeat.{head}"] = np.empty_like(store[f"{feat}.out"])
+        for head in ("lower", "middle"):
+            store[f"dz.{head}"] = np.empty_like(store[f"z.{head}"])
+            store[f"up.{head}"] = np.empty_like(store[f"dfeat.{head}"])
+        for pool, act, pooled in (("pool1", "enc1", "enc2"), ("pool2", "enc2", "bottleneck")):
+            store[f"{pool}.routed"] = np.empty_like(store[f"{act}.out"])
+            window_shape = store[f"{pooled}.in"][:, 1:-1, 1:-1].shape
+            store[f"{pool}.hit"] = np.empty(window_shape, bool)
+            store[f"{pool}.free"] = np.empty(window_shape, bool)
+        store["t"] = np.empty((n, h, w, 1), dtype)
+        return store
+
+    def step(self, p, g, t, w: LossWeights, loss_kind: str) -> float:
+        """Total loss (batch mean) of the batch in ``x`` against targets t;
+        the analytic gradient of every parameter goes to g (gemm layout)."""
+        c, s, dg = self.convs, self.bufs, self.dgrad
+        lower, middle, final = self.forward(p)
+        a1, a2, a3, d1, d2 = (c[name].out for name in _CONVS)
+
+        loss_l, dz_l = _head_loss_grad_batch(lower, t, loss_kind)
+        loss_m, dz_m = _head_loss_grad_batch(middle, t, loss_kind)
+        loss_f, dz_f = _head_loss_grad_batch(final, t, loss_kind)
+        total = w.alpha_l * loss_l + w.alpha_m * loss_m + w.alpha_f * loss_f
+        np.multiply(dz_l, w.alpha_l, out=dz_l)
+        np.multiply(dz_m, w.alpha_m, out=dz_m)
+        np.multiply(dz_f, w.alpha_f, out=dz_f)
+
+        # heads: logits were NN-upsampled, so gradients block-sum back down
+        def head_grads(head, dz, feat):
+            k = p[f"head_{head}.kernel"]
+            np.dot(dz.reshape(1, -1), feat.reshape(-1, k.shape[1]), out=g[f"head_{head}.kernel"].reshape(1, -1))
+            np.sum(dz, axis=(0, 1, 2), out=g[f"head_{head}.bias"])
+            return np.multiply(dz, k[0, :, 0, 0], out=s[f"dfeat.{head}"])
+
+        dfeat_lower = head_grads("lower", _upsample_grad(dz_l, 4, s["dz.lower"]), a3)
+        dfeat_middle = head_grads("middle", _upsample_grad(dz_m, 2, s["dz.middle"]), d1)
+        dfeat_final = head_grads("final", dz_f, d2)
+
+        def conv_grads(name, da):
+            """Parameter gradients of conv `name` from da, the gradient at its
+            ReLU output (turned in place into the pre-activation gradient),
+            and its input gradient unless it is the first layer."""
+            act = c[name].out
+            mask = np.greater(act, 0, out=s[f"mask{_act_key(name)}"])
+            dpre = np.multiply(da, mask, out=da)
+            dpre2d = dpre.reshape(-1, act.shape[3])
+            np.matmul(c[name].cols.T, dpre2d, out=g[f"{name}.kernel"])
+            np.sum(dpre, axis=(0, 1, 2), out=g[f"{name}.bias"])
+            if name == "enc1":
+                return None
+            km = p[f"{name}.kernel"]
+            o, ch = km.shape[1], km.shape[0] // 9
+            flip = self.flip[name]
+            np.copyto(flip.reshape(3, 3, o, ch), km.reshape(3, 3, ch, o)[::-1, ::-1].transpose(0, 1, 3, 2))
+            np.copyto(dg[name].inner, dpre)
+            return dg[name](flip)
+
+        dc2 = conv_grads("dec2", dfeat_final)
+        du2, da1_skip = dc2[..., :16], dc2[..., 16:]
+
+        dd1 = np.add(dfeat_middle, _upsample2_grad(du2, s["up.middle"]), out=dfeat_middle)
+        dc1 = conv_grads("dec1", dd1)
+        du1, da2_skip = dc1[..., :32], dc1[..., 32:]
+
+        da3 = np.add(dfeat_lower, _upsample2_grad(du1, s["up.lower"]), out=dfeat_lower)
+        dp2 = conv_grads("bottleneck", da3)
+
+        routed = _maxpool2_grad(dp2, a2, c["bottleneck"].inner, s["pool2.routed"], s["pool2.hit"], s["pool2.free"])
+        dp1 = conv_grads("enc2", np.add(da2_skip, routed, out=routed))
+
+        routed = _maxpool2_grad(dp1, a1, c["enc2"].inner, s["pool1.routed"], s["pool1.hit"], s["pool1.free"])
+        conv_grads("enc1", np.add(da1_skip, routed, out=routed))
+        return total
 
 
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
-
-
-def _forward_batch(
-    tensors: Dict[str, np.ndarray], x: np.ndarray, keep_cache: bool = False, ws: Optional[Workspace] = None
-):
-    """Run the network on a batch (N, H, W, 1); optionally keep activations.
-
-    With a workspace the conv buffers come from it, so the cached im2col
-    matrices stay valid only until the next call with the same workspace.
-    """
-    t = tensors
-
-    def conv_relu(xp, name):
-        cols = _im2col(xp, ws, name)
-        out_shape = (xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2)
-        out = np.maximum(_conv3x3(cols, t[f"{name}.kernel"], t[f"{name}.bias"], out_shape), 0.0)
-        return out, cols
-
-    a1, cols1 = conv_relu(_border(x, ws, "enc1"), "enc1")
-    p1, idx1 = _maxpool2(a1)
-    a2, cols2 = conv_relu(_border(p1, ws, "enc2"), "enc2")
-    p2, idx2 = _maxpool2(a2)
-    a3, cols3 = conv_relu(_border(p2, ws, "bottleneck"), "bottleneck")
-    d1, cols4 = conv_relu(_border_upsampled_skip(a3, a2, ws, "dec1"), "dec1")
-    d2, cols5 = conv_relu(_border_upsampled_skip(d1, a1, ws, "dec2"), "dec2")
-
-    z_lower = _upsample(_conv1x1(a3, t["head_lower.kernel"], t["head_lower.bias"]), 4)
-    z_middle = _upsample(_conv1x1(d1, t["head_middle.kernel"], t["head_middle.bias"]), 2)
-    z_final = _conv1x1(d2, t["head_final.kernel"], t["head_final.bias"])
-    probs = {"lower": _sigmoid(z_lower), "middle": _sigmoid(z_middle), "final": _sigmoid(z_final)}
-    if not keep_cache:
-        return probs, None
-    cache = {"idx1": idx1, "idx2": idx2, "a1": a1, "a2": a2, "a3": a3, "d1": d1, "d2": d2,
-             "cols": {"enc1": cols1, "enc2": cols2, "bottleneck": cols3, "dec1": cols4, "dec2": cols5}}
-    return probs, cache
 
 
 def forward(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
@@ -326,11 +510,13 @@ def forward(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
             f"image dimensions must be divisible by 4, got {h}x{w}; pad the input "
             "(see predict) and crop the outputs back"
         )
-    probs, _ = _forward_batch(params.tensors, image.values[None, :, :, None])
+    plan = _ForwardPlan.allocate(1, h, w, np.float64)
+    plan.x[0, :, :, 0] = image.values
+    lower, middle, final = plan.forward(_param_views(_gemm_params(params.tensors, np.float64)))
     return MultiHeadPrediction(
-        lower=ProbMap(probs["lower"][0, :, :, 0]),
-        middle=ProbMap(probs["middle"][0, :, :, 0]),
-        final=ProbMap(probs["final"][0, :, :, 0]),
+        lower=ProbMap(lower[0, :, :, 0]),
+        middle=ProbMap(middle[0, :, :, 0]),
+        final=ProbMap(final[0, :, :, 0]),
     )
 
 
@@ -416,73 +602,16 @@ def _head_loss_grad_batch(p: np.ndarray, t: np.ndarray, loss_kind: str) -> Tuple
 
 
 def _loss_and_grads_batch(
-    tensors: Dict[str, np.ndarray],
-    x: np.ndarray,
-    t: np.ndarray,
-    w: LossWeights,
-    loss_kind: str,
-    ws: Optional[Workspace] = None,
+    tensors: Dict[str, np.ndarray], x: np.ndarray, t: np.ndarray, w: LossWeights, loss_kind: str
 ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Total loss (batch mean) and analytic gradients for every parameter;
-    the conv buffers come from the workspace when one is given."""
-    probs, cache = _forward_batch(tensors, x, keep_cache=True, ws=ws)
-    tens = tensors
-    grads: Dict[str, np.ndarray] = {}
-
-    loss_l, dz_l = _head_loss_grad_batch(probs["lower"], t, loss_kind)
-    loss_m, dz_m = _head_loss_grad_batch(probs["middle"], t, loss_kind)
-    loss_f, dz_f = _head_loss_grad_batch(probs["final"], t, loss_kind)
-    total = w.alpha_l * loss_l + w.alpha_m * loss_m + w.alpha_f * loss_f
-    dz_l = w.alpha_l * dz_l
-    dz_m = w.alpha_m * dz_m
-    dz_f = w.alpha_f * dz_f
-
-    # heads: logits were NN-upsampled, so gradients block-sum back down
-    dz_l_small = _upsample_grad(dz_l, 4)
-    dz_m_small = _upsample_grad(dz_m, 2)
-
-    def head_grads(dz: np.ndarray, feat: np.ndarray, kname: str):
-        grads[f"{kname}.kernel"] = np.tensordot(dz, feat, axes=([0, 1, 2], [0, 1, 2]))[:, :, None, None]
-        grads[f"{kname}.bias"] = dz.sum(axis=(0, 1, 2))
-        return dz * tens[f"{kname}.kernel"][:, :, 0, 0][0]
-
-    dfeat_lower = head_grads(dz_l_small, cache["a3"], "head_lower")
-    dfeat_middle = head_grads(dz_m_small, cache["d1"], "head_middle")
-    dfeat_final = head_grads(dz_f, cache["d2"], "head_final")
-
-    cols = cache["cols"]
-
-    # decoder stage 2
-    dpre = dfeat_final * (cache["d2"] > 0)
-    grads["dec2.kernel"], grads["dec2.bias"] = _conv3x3_param_grad(cols["dec2"], dpre)
-    dc2 = _conv3x3_input_grad(dpre, tens["dec2.kernel"], ws)
-    du2, da1_skip = dc2[:, :, :, :16], dc2[:, :, :, 16:]
-
-    # decoder stage 1
-    dd1 = dfeat_middle + _upsample_grad(du2, 2)
-    dpre = dd1 * (cache["d1"] > 0)
-    grads["dec1.kernel"], grads["dec1.bias"] = _conv3x3_param_grad(cols["dec1"], dpre)
-    dc1 = _conv3x3_input_grad(dpre, tens["dec1.kernel"], ws)
-    du1, da2_skip = dc1[:, :, :, :32], dc1[:, :, :, 32:]
-
-    # bottleneck
-    da3 = dfeat_lower + _upsample_grad(du1, 2)
-    dpre = da3 * (cache["a3"] > 0)
-    grads["bottleneck.kernel"], grads["bottleneck.bias"] = _conv3x3_param_grad(cols["bottleneck"], dpre)
-    dp2 = _conv3x3_input_grad(dpre, tens["bottleneck.kernel"], ws)
-
-    # encoder stage 2
-    da2 = da2_skip + _maxpool2_grad(dp2, cache["idx2"], cache["a2"].shape)
-    dpre = da2 * (cache["a2"] > 0)
-    grads["enc2.kernel"], grads["enc2.bias"] = _conv3x3_param_grad(cols["enc2"], dpre)
-    dp1 = _conv3x3_input_grad(dpre, tens["enc2.kernel"], ws)
-
-    # encoder stage 1
-    da1 = da1_skip + _maxpool2_grad(dp1, cache["idx1"], cache["a1"].shape)
-    dpre = da1 * (cache["a1"] > 0)
-    grads["enc1.kernel"], grads["enc1.bias"] = _conv3x3_param_grad(cols["enc1"], dpre)
-
-    return total, grads
+    """Total loss (batch mean) and analytic gradients for every parameter,
+    one step on a plan of its own, in the dtype of x and the tensors."""
+    dtype = np.result_type(x, tensors["enc1.kernel"])
+    plan = _StepPlan.allocate(x.shape[0], x.shape[1], x.shape[2], dtype)
+    np.copyto(plan.x, x)
+    grads = _param_views(np.empty(_PARAM_SIZE, dtype))
+    total = plan.step(_param_views(_gemm_params(tensors, dtype)), grads, t, w, loss_kind)
+    return total, _canonical(grads)
 
 
 def backward(
@@ -518,8 +647,10 @@ def train(
     for this when it loads them); shuffling and batching are fully
     determined by cfg.seed.  Descent runs in float32 for speed
     (deterministic; parameters are stored in float64 at the API boundary).
-    Every step reuses one workspace of conv buffers, sized by the first
-    (largest) batch.
+    Every step runs on one step plan, sized by the first (largest) batch; a
+    smaller tail batch takes ``[:n]`` views of its buffers.  The parameters
+    and their gradients are two flat float32 vectors, conv kernels in gemm
+    layout, and the descent step updates them in place.
     """
     if len(labeled_set) == 0:
         raise ValueError("labeled set must be nonempty")
@@ -532,19 +663,28 @@ def train(
     if h % 4 != 0 or wdt % 4 != 0:
         raise ValueError(f"training images must have dimensions divisible by 4, got {h}x{wdt}")
 
-    images = np.stack([img.values for img, _ in labeled_set]).astype(np.float32)[:, :, :, None]
+    # images with the zero border of the first conv, so a batch is one gather
+    images = np.zeros((len(labeled_set), h + 2, wdt + 2, 1), np.float32)
+    images[:, 1:-1, 1:-1, 0] = np.stack([img.values for img, _ in labeled_set])
     targets = np.stack([m.values for _, m in labeled_set]).astype(np.float32)[:, :, :, None]
     rng = np.random.default_rng(cfg.seed)
-    work = {name: arr.astype(np.float32) for name, arr in params.tensors.items()}
+    flat = _gemm_params(params.tensors, np.float32)
+    grad = np.empty_like(flat)
+    work, grads = _param_views(flat), _param_views(grad)
     lr = np.float32(cfg.learning_rate)
-    ws: Workspace = {}
+    full = _StepPlan.allocate(min(cfg.batch_size, len(labeled_set)), h, wdt, np.float32)
+    plans = {full.n: full}
     for _ in range(cfg.epochs):
         order = rng.permutation(len(labeled_set))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _, grads = _loss_and_grads_batch(work, images[batch], targets[batch], w, cfg.loss_kind, ws)
-            work = {name: work[name] - lr * grads[name] for name in PARAM_SHAPES}
-    return SegmenterParams({name: arr.astype(np.float64) for name, arr in work.items()})
+            plan = plans.get(len(batch)) or plans.setdefault(len(batch), full.batch(len(batch)))
+            np.take(images, batch, axis=0, out=plan.bordered_x)
+            np.take(targets, batch, axis=0, out=plan.t)
+            plan.step(work, grads, plan.t, w, cfg.loss_kind)
+            grad *= lr  # flat -= lr * grad, float for float
+            flat -= grad
+    return SegmenterParams(_canonical(work))
 
 
 # ---------------------------------------------------------------------------

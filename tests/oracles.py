@@ -7,13 +7,15 @@ path, which builds them once per decode, must match it bit for bit.
 
 The padded-copy training loop allocates its conv data afresh for every
 call: ``np.pad``, a sliding-window view and a transposed copy per im2col,
-``np.concatenate`` for the decoder inputs.  It reuses only the package's
-layer primitives that take no part in that data movement (the gemm, pooling,
-upsampling, sigmoid and the head losses).  The package's ``train``, which
-keeps its conv buffers in one workspace per call, must match it bit for bit.
+``np.concatenate`` for the decoder inputs.  Its layer primitives (the gemm
+with its kernel transposes, argmax pooling, upsampling, the boolean-indexed
+sigmoid) are verbatim copies of the ones the package's training loop used
+before it ran on a preallocated step plan; only the head losses come from
+the package.  The package's ``train`` must match it bit for bit.
 """
 
 import math
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,6 +127,70 @@ def per_offset_windowed_infer(image, unary, params):
     return (q[:, :, 1] >= q[:, :, 0]).astype(np.uint8)
 
 
+# ---------------------------------------------------------------------------
+# layer primitives of the padded-copy loop, verbatim from the package's
+# earlier allocating training step
+# ---------------------------------------------------------------------------
+
+
+def _kernel_matrix(k: np.ndarray) -> np.ndarray:
+    """(O, C, 3, 3) parameter tensor as a (9*C, O) gemm operand."""
+    return np.ascontiguousarray(k.transpose(2, 3, 1, 0)).reshape(-1, k.shape[0])
+
+
+def _conv3x3(cols: np.ndarray, k: np.ndarray, b: np.ndarray, out_shape: Tuple[int, ...]) -> np.ndarray:
+    return (cols @ _kernel_matrix(k) + b).reshape(out_shape[:3] + (k.shape[0],))
+
+
+def _conv3x3_param_grad(cols: np.ndarray, dout: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    o = dout.shape[3]
+    c = cols.shape[1] // 9
+    dkm = cols.T @ dout.reshape(-1, o)  # (9*C, O)
+    dk = np.ascontiguousarray(dkm.reshape(3, 3, c, o).transpose(3, 2, 0, 1))
+    return dk, dout.sum(axis=(0, 1, 2))
+
+
+def _conv1x1(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ k[:, :, 0, 0].T + b
+
+
+def _maxpool2(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    n, h, w, c = x.shape
+    xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, w // 2, c, 4)
+    idx = xr.argmax(axis=-1)
+    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    return out, idx
+
+
+def _maxpool2_grad(dout: np.ndarray, idx: np.ndarray, in_shape: Tuple[int, ...]) -> np.ndarray:
+    n, h, w, c = in_shape
+    dxr = np.zeros((n, h // 2, w // 2, c, 4), dtype=dout.dtype)
+    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
+    return (
+        dxr.reshape(n, h // 2, w // 2, c, 2, 2)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(n, h, w, c)
+    )
+
+
+def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
+    return x.repeat(factor, axis=1).repeat(factor, axis=2)
+
+
+def _upsample_grad(dout: np.ndarray, factor: int) -> np.ndarray:
+    n, h, w, c = dout.shape
+    return dout.reshape(n, h // factor, factor, w // factor, factor, c).sum(axis=(2, 4))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def padded_im2col(x):
     """Unfold 3x3 same-pad windows: (N, H, W, C) -> (N*H*W, 9*C)."""
     n, h, w, c = x.shape
@@ -136,29 +202,29 @@ def padded_im2col(x):
 def _padded_input_grad(dout, k):
     kt = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C, O, 3, 3)
     n, h, w, _ = dout.shape
-    return sg._conv3x3(padded_im2col(dout), kt, np.zeros(kt.shape[0], dtype=dout.dtype), (n, h, w))
+    return _conv3x3(padded_im2col(dout), kt, np.zeros(kt.shape[0], dtype=dout.dtype), (n, h, w))
 
 
 def _padded_forward(t, x):
     def conv_relu(inp, name):
         cols = padded_im2col(inp)
-        out = np.maximum(sg._conv3x3(cols, t[f"{name}.kernel"], t[f"{name}.bias"], inp.shape), 0.0)
+        out = np.maximum(_conv3x3(cols, t[f"{name}.kernel"], t[f"{name}.bias"], inp.shape), 0.0)
         return out, cols
 
     a1, cols1 = conv_relu(x, "enc1")
-    p1, idx1 = sg._maxpool2(a1)
+    p1, idx1 = _maxpool2(a1)
     a2, cols2 = conv_relu(p1, "enc2")
-    p2, idx2 = sg._maxpool2(a2)
+    p2, idx2 = _maxpool2(a2)
     a3, cols3 = conv_relu(p2, "bottleneck")
-    c1 = np.concatenate([sg._upsample(a3, 2), a2], axis=3)
+    c1 = np.concatenate([_upsample(a3, 2), a2], axis=3)
     d1, cols4 = conv_relu(c1, "dec1")
-    c2 = np.concatenate([sg._upsample(d1, 2), a1], axis=3)
+    c2 = np.concatenate([_upsample(d1, 2), a1], axis=3)
     d2, cols5 = conv_relu(c2, "dec2")
 
-    z_lower = sg._upsample(sg._conv1x1(a3, t["head_lower.kernel"], t["head_lower.bias"]), 4)
-    z_middle = sg._upsample(sg._conv1x1(d1, t["head_middle.kernel"], t["head_middle.bias"]), 2)
-    z_final = sg._conv1x1(d2, t["head_final.kernel"], t["head_final.bias"])
-    probs = {"lower": sg._sigmoid(z_lower), "middle": sg._sigmoid(z_middle), "final": sg._sigmoid(z_final)}
+    z_lower = _upsample(_conv1x1(a3, t["head_lower.kernel"], t["head_lower.bias"]), 4)
+    z_middle = _upsample(_conv1x1(d1, t["head_middle.kernel"], t["head_middle.bias"]), 2)
+    z_final = _conv1x1(d2, t["head_final.kernel"], t["head_final.bias"])
+    probs = {"lower": _sigmoid(z_lower), "middle": _sigmoid(z_middle), "final": _sigmoid(z_final)}
     cache = {"idx1": idx1, "idx2": idx2, "a1": a1, "a2": a2, "a3": a3, "d1": d1, "d2": d2,
              "cols": {"enc1": cols1, "enc2": cols2, "bottleneck": cols3, "dec1": cols4, "dec2": cols5}}
     return probs, cache
@@ -177,8 +243,8 @@ def padded_loss_and_grads(tens, x, t, w, loss_kind):
     dz_m = w.alpha_m * dz_m
     dz_f = w.alpha_f * dz_f
 
-    dz_l_small = sg._upsample_grad(dz_l, 4)
-    dz_m_small = sg._upsample_grad(dz_m, 2)
+    dz_l_small = _upsample_grad(dz_l, 4)
+    dz_m_small = _upsample_grad(dz_m, 2)
 
     def head_grads(dz, feat, kname):
         grads[f"{kname}.kernel"] = np.tensordot(dz, feat, axes=([0, 1, 2], [0, 1, 2]))[:, :, None, None]
@@ -192,29 +258,29 @@ def padded_loss_and_grads(tens, x, t, w, loss_kind):
     cols = cache["cols"]
 
     dpre = dfeat_final * (cache["d2"] > 0)
-    grads["dec2.kernel"], grads["dec2.bias"] = sg._conv3x3_param_grad(cols["dec2"], dpre)
+    grads["dec2.kernel"], grads["dec2.bias"] = _conv3x3_param_grad(cols["dec2"], dpre)
     dc2 = _padded_input_grad(dpre, tens["dec2.kernel"])
     du2, da1_skip = dc2[:, :, :, :16], dc2[:, :, :, 16:]
 
-    dd1 = dfeat_middle + sg._upsample_grad(du2, 2)
+    dd1 = dfeat_middle + _upsample_grad(du2, 2)
     dpre = dd1 * (cache["d1"] > 0)
-    grads["dec1.kernel"], grads["dec1.bias"] = sg._conv3x3_param_grad(cols["dec1"], dpre)
+    grads["dec1.kernel"], grads["dec1.bias"] = _conv3x3_param_grad(cols["dec1"], dpre)
     dc1 = _padded_input_grad(dpre, tens["dec1.kernel"])
     du1, da2_skip = dc1[:, :, :, :32], dc1[:, :, :, 32:]
 
-    da3 = dfeat_lower + sg._upsample_grad(du1, 2)
+    da3 = dfeat_lower + _upsample_grad(du1, 2)
     dpre = da3 * (cache["a3"] > 0)
-    grads["bottleneck.kernel"], grads["bottleneck.bias"] = sg._conv3x3_param_grad(cols["bottleneck"], dpre)
+    grads["bottleneck.kernel"], grads["bottleneck.bias"] = _conv3x3_param_grad(cols["bottleneck"], dpre)
     dp2 = _padded_input_grad(dpre, tens["bottleneck.kernel"])
 
-    da2 = da2_skip + sg._maxpool2_grad(dp2, cache["idx2"], cache["a2"].shape)
+    da2 = da2_skip + _maxpool2_grad(dp2, cache["idx2"], cache["a2"].shape)
     dpre = da2 * (cache["a2"] > 0)
-    grads["enc2.kernel"], grads["enc2.bias"] = sg._conv3x3_param_grad(cols["enc2"], dpre)
+    grads["enc2.kernel"], grads["enc2.bias"] = _conv3x3_param_grad(cols["enc2"], dpre)
     dp1 = _padded_input_grad(dpre, tens["enc2.kernel"])
 
-    da1 = da1_skip + sg._maxpool2_grad(dp1, cache["idx1"], cache["a1"].shape)
+    da1 = da1_skip + _maxpool2_grad(dp1, cache["idx1"], cache["a1"].shape)
     dpre = da1 * (cache["a1"] > 0)
-    grads["enc1.kernel"], grads["enc1.bias"] = sg._conv3x3_param_grad(cols["enc1"], dpre)
+    grads["enc1.kernel"], grads["enc1.bias"] = _conv3x3_param_grad(cols["enc1"], dpre)
 
     return total, grads
 

@@ -39,6 +39,21 @@ class TestContainers:
         with pytest.raises(ValueError):
             BinaryMask(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize("bad", [
+        np.array([[0, 2]]),
+        np.array([[-1, 1]]),
+        np.array([[0.5, 1.0]]),
+        np.array([[np.nan, 0.0]]),
+        np.array([["0", "1"]]),
+    ])
+    def test_mask_non_binary_values_name_the_rule(self, bad):
+        with pytest.raises(ValueError, match="mask values must be strictly binary"):
+            BinaryMask(bad)
+
+    def test_mask_accepts_bool_and_float_binary(self):
+        for raw in (np.array([[True, False]]), np.array([[1.0, 0.0]])):
+            assert BinaryMask(raw).values.tolist() == [[1, 0]]
+
     def test_probmap_bounds(self):
         ProbMap(np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from activeseg.harness import (
     default_experiment,
     echo_config,
     generate_synthetic,
+    load_samples,
     make_split,
     parse_config_text,
     report_correlation,
@@ -36,6 +38,15 @@ class TestGenerator:
             assert s.id == t.id
             np.testing.assert_array_equal(s.image.values, t.image.values)
             np.testing.assert_array_equal(s.ground_truth.values, t.ground_truth.values)
+
+    def test_default_corpus_bytes_are_pinned(self):
+        # the SHA-256 of ids, images and masks of the default 340-sample corpus
+        h = hashlib.sha256()
+        for s in load_samples(default_experiment()):
+            h.update(s.id.encode("ascii"))
+            h.update(s.image.values.tobytes())
+            h.update(s.ground_truth.values.tobytes())
+        assert h.hexdigest() == "a9992fd9843c25f39e495bff61e8996ca05a0c0c3dce312ba3c56049f356ab5b"
 
     def test_noiseless_rendering_is_exact(self):
         spec = SyntheticSpec(n_samples=5, noise_level=0.0, occlusion_prob=0.0, seed=2)
@@ -362,6 +373,9 @@ class TestCli:
         "train.loss=l2",
         "crf.gaussian.sdims=inf",
         "crf.bilateral.compat=nan",
+        "train.learning_rate=nan",
+        "train.learning_rate=inf",
+        "loss.alpha_l=nan",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")

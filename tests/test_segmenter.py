@@ -198,6 +198,12 @@ class TestLosses:
         with pytest.raises(ValueError):
             LossWeights(-0.1, 0.5, 0.6)
 
+    @pytest.mark.parametrize("name", ["alpha_l", "alpha_m", "alpha_f"])
+    def test_weights_must_be_finite(self, name):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LossWeights(**{name: bad})
+
 
 class TestBackward:
     @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
@@ -286,6 +292,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="single raster size"):
             train(init_params(0), [a, b], TrainConfig(epochs=1))
 
+    def test_learning_rate_must_be_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=bad)
+
     def test_epochs_and_batch_size_must_be_integers(self):
         for name in ("epochs", "batch_size"):
             for bad in (1.5, 2.5, True, "2", None):
@@ -305,29 +316,32 @@ def assert_same_bytes(a, b):
 
 
 class TestConvWorkspace:
-    """The workspace conv data path against the padded-copy oracle, bit for bit."""
+    """The step plan's conv data path against the padded-copy oracle, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("raster", [(4, 4), (8, 20), (32, 32)])
     def test_im2col_matches_padded_copy(self, raster, dtype):
         rng = np.random.default_rng(0)
-        ws = {}
-        # the first batch sizes the buffers; the smaller ones take [:n] views
-        for n in (3, 1, 2):
-            for c in (1, 8, 16, 24, 48):
+        for c in (1, 8, 16, 24, 48):
+            bordered = np.zeros((3, raster[0] + 2, raster[1] + 2, c), dtype)
+            cols = np.empty((3, *raster, 3, 3, c), dtype)
+            out = np.empty((3, *raster, 1), dtype)
+            # the first batch sizes the buffers; the smaller ones take [:n] views
+            for n in (3, 1, 2):
                 x = rng.standard_normal((n, *raster, c)).astype(dtype)
-                ref = oracles.padded_im2col(x)
-                assert np.array_equal(sg._im2col(sg._border(x)), ref)
-                assert np.array_equal(sg._im2col(sg._border(x, ws, "conv"), ws, "conv"), ref)
+                conv = sg._Conv(bordered[:n], cols[:n], out[:n])
+                np.copyto(conv.inner, x)
+                assert np.array_equal(conv.im2col(), oracles.padded_im2col(x))
 
     def test_im2col_of_channel_slices(self):
         dc2 = np.random.default_rng(1).standard_normal((2, 8, 20, 24)).astype(np.float32)
-        ws = {}
         for x in (dc2[..., :16], dc2[..., 16:], dc2[:, ::2, ::2, 3:11]):
             assert not x.flags.c_contiguous
-            ref = oracles.padded_im2col(x)
-            assert np.array_equal(sg._im2col(sg._border(x)), ref)
-            assert np.array_equal(sg._im2col(sg._border(x, ws, "conv"), ws, "conv"), ref)
+            n, h, w, c = x.shape
+            conv = sg._Conv(np.zeros((n, h + 2, w + 2, c), x.dtype), np.empty((n, h, w, 3, 3, c), x.dtype),
+                            np.empty((n, h, w, 1), x.dtype))
+            np.copyto(conv.inner, x)
+            assert np.array_equal(conv.im2col(), oracles.padded_im2col(x))
 
     @pytest.mark.parametrize("n, size, batch_size, loss_kind", [
         (5, 16, 2, "cross_entropy"),  # odd set: a tail batch of one
@@ -339,6 +353,24 @@ class TestConvWorkspace:
         cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, loss_kind=loss_kind, seed=3)
         assert_same_bytes(train(init_params(1), data, cfg), oracles.padded_train(init_params(1), data, cfg))
 
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
+    def test_train_matches_padded_copy_at_the_benchmark_shape(self, loss_kind):
+        """32x32 rasters at the fine-tuning rate, 47 samples: each epoch ends
+        in a tail batch of one."""
+        data = labeled_set(47, 32, seed=47)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, batch_size=2, loss_kind=loss_kind, seed=3)
+        assert_same_bytes(train(init_params(1), data, cfg), oracles.padded_train(init_params(1), data, cfg))
+
+    def test_train_matches_padded_copy_when_every_pooling_window_ties(self):
+        """On all-zero images every activation is a function of the biases
+        alone, so all four values of every pooling window are equal; with
+        positive biases the gradient must go to the window's first element,
+        as argmax sends it."""
+        blank = (ImageGrid(np.zeros((16, 16))), BinaryMask(np.eye(16, dtype=int)))
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=2, loss_kind="cross_entropy", seed=1)
+        params = kink_free_params()
+        assert_same_bytes(train(params, [blank] * 3, cfg), oracles.padded_train(params, [blank] * 3, cfg))
+
     def test_successive_trains_at_two_sizes(self):
         params = init_params(2)
         cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=2, seed=4)
@@ -348,35 +380,56 @@ class TestConvWorkspace:
             assert_same_bytes(got, oracles.padded_train(params, data, cfg))
             params = got
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
+    def test_loss_and_grads_match_padded_copy(self, dtype, loss_kind):
+        tensors = {name: arr.astype(dtype) for name, arr in init_params(3).tensors.items()}
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, (2, 16, 16, 1)).astype(dtype)
+        t = (rng.uniform(0, 1, (2, 16, 16, 1)) > 0.5).astype(dtype)
+        loss, grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), loss_kind)
+        ref_loss, ref_grads = oracles.padded_loss_and_grads(tensors, x, t, LossWeights(), loss_kind)
+        assert loss == ref_loss
+        assert_same_bytes(grads, ref_grads)
+
     def test_input_grads_share_buffers_by_shape(self):
         """The four input-gradient convs meet three raster shapes (dec1's and
         enc2's match), so they hold three bordered inputs and three matrices."""
-        tensors = {name: arr.astype(np.float32) for name, arr in init_params(0).tensors.items()}
-        x = np.zeros((2, 16, 16, 1), np.float32)
-        ws = {}
-        sg._loss_and_grads_batch(tensors, x, x, LossWeights(), "cross_entropy", ws)
-        assert sorted(role for (key, role), _, _ in ws if key == "dgrad") == ["bordered"] * 3 + ["cols"] * 3
+        plan = sg._StepPlan.allocate(2, 16, 16, np.float32)
+        convs = plan.dgrad.values()
+        assert len(convs) == 4
+        for part in ("inner", "cols"):
+            distinct = []
+            for conv in convs:
+                if not any(np.shares_memory(getattr(conv, part), other) for other in distinct):
+                    distinct.append(getattr(conv, part))
+            assert len(distinct) == 3, part
+        assert np.shares_memory(plan.dgrad["dec1"].cols, plan.dgrad["enc2"].cols)
+        assert not np.shares_memory(plan.dgrad["dec1"].out, plan.dgrad["enc2"].out)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_rows_leak_between_batches(self, dtype):
-        """One workspace over batches of 3, 2 and 1: each step equals the
-        workspace-free path (the one backward takes) on the same batch."""
+        """One plan over batches of 3, 2 and 1: each step on ``[:n]`` views
+        equals a fresh plan (the one backward takes) on the same batch."""
         params = init_params(5)
+        flat = sg._gemm_params(params.tensors, dtype)
         tensors = {name: arr.astype(dtype) for name, arr in params.tensors.items()}
         rng = np.random.default_rng(6)
-        ws = {}
+        full = sg._StepPlan.allocate(3, 16, 16, dtype)
         for n in (3, 2, 1):
             x = rng.uniform(0, 1, (n, 16, 16, 1)).astype(dtype)
             t = (rng.uniform(0, 1, (n, 16, 16, 1)) > 0.5).astype(dtype)
-            loss, grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), "cross_entropy", ws)
+            plan = full.batch(n)
+            np.copyto(plan.x, x)
+            views = sg._param_views(np.empty_like(flat))
+            loss = plan.step(sg._param_views(flat), views, t, LossWeights(), "cross_entropy")
+            grads = sg._canonical(views)
             ref_loss, ref_grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), "cross_entropy")
             assert loss == ref_loss
-            for name in PARAM_SHAPES:
-                assert np.array_equal(grads[name], ref_grads[name]), name
+            assert_same_bytes(grads, ref_grads)
         if dtype is np.float64:
             ref_grads = backward(params, ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int)))
-            for name in PARAM_SHAPES:
-                assert np.array_equal(grads[name], ref_grads[name]), name
+            assert_same_bytes(grads, ref_grads)
 
 
 class TestCheckpoint:
