@@ -5,7 +5,7 @@ uncertain samples go to a simulated oracle, confident ones to a CRF-ensemble
 weak labeler, and the model is fine-tuned on the growing labeled set.
 """
 
-from .alloop import ALConfig, DatasetSplit, IterationRecord, RunResult, oracle_label, run_detailed
+from .alloop import ALConfig, DatasetSplit, RunResult, run_detailed
 from .core import (
     BinaryMask,
     ImageGrid,
@@ -18,7 +18,7 @@ from .core import (
     move_to_labeled,
     save_dataset,
 )
-from .crf import CrfParams, MarginalField, gibbs_energy, infer, meanfield_step, unary_from_prob
+from .crf import CrfParams, infer
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -33,32 +33,10 @@ from .segmenter import (
     MultiHeadPrediction,
     SegmenterParams,
     TrainConfig,
-    backward,
-    forward,
-    head_loss,
     init_params,
     load_params,
     predict,
-    save_params,
-    soft_dice_loss,
-    total_loss,
     train,
 )
-from .selection import (
-    QuerySplit,
-    SampleScores,
-    confidence,
-    confidence_threshold,
-    rank_correlation,
-    score_sample,
-    select_queries,
-)
-from .weaklabeler import (
-    CrfEnsemble,
-    PerturbSpec,
-    build_ensemble,
-    greedy_finetune,
-    majority_vote,
-    perturb,
-    refine,
-)
+from .selection import QuerySplit, SampleScores, rank_correlation, score_sample, select_queries
+from .weaklabeler import CrfEnsemble, PerturbSpec, build_ensemble, greedy_finetune, refine

@@ -9,8 +9,9 @@ fine-tuned once, at the first pseudo-labeling iteration, then frozen.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,39 +31,27 @@ DscPair = Tuple[str, float, float]  # (sample id, mean_dsc, r_dsc)
 class ALConfig:
     """Everything one query loop needs; fully determines the run given a split."""
 
-    iterations: int = 8
-    k_strong: int = 20
-    k_weak: int = 10
-    bins: int = 10
-    pseudo_start_iter: int = 3
-    finetune: TrainConfig = field(
-        default_factory=lambda: TrainConfig(epochs=6, learning_rate=0.5, batch_size=2,
-                                            loss_kind="cross_entropy", seed=0)
-    )
-    base_train: Optional[TrainConfig] = None  # defaults to `finetune`
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    crf_center: CrfParams = field(
-        default_factory=lambda: CrfParams(
-            gaussian_sdims=1.5,
-            gaussian_compat=0.4,
-            bilateral_sdims=2.5,
-            bilateral_schan=0.15,
-            bilateral_compat=0.6,
-            steps=2,
-        )
-    )
-    ensemble_size: int = 5
-    perturb: PerturbSpec = field(default_factory=PerturbSpec)
-    ensemble_rounds: int = 3
-    seed: int = 0
-    query_strategy: str = "uncertainty"
+    iterations: int
+    k_strong: int
+    k_weak: int
+    bins: int
+    pseudo_start_iter: int
+    finetune: TrainConfig
+    base_train: TrainConfig
+    loss_weights: LossWeights
+    crf_center: CrfParams
+    ensemble_size: int
+    perturb: PerturbSpec
+    ensemble_rounds: int
+    seed: int
+    query_strategy: str
     # ablation switches: disable pseudo-labeling entirely, drop the
     # confidence filter, or replace the CRF-ensemble weak labeler with the
     # model's own thresholded prediction
-    pseudo_labels: bool = True
-    confidence_filter: bool = True
-    ensemble_crf: bool = True
-    target_dsc: Optional[float] = None
+    pseudo_labels: bool
+    confidence_filter: bool
+    ensemble_crf: bool
+    target_dsc: Optional[float]  # None: no early stop
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -77,9 +66,13 @@ class ALConfig:
             raise ValueError(f"ensemble size must be odd and >= 1, got {self.ensemble_size}")
         if self.query_strategy not in QUERY_STRATEGIES:
             raise ValueError(f"query_strategy must be one of {QUERY_STRATEGIES}")
-
-    def base_train_config(self) -> TrainConfig:
-        return self.base_train if self.base_train is not None else self.finetune
+        if self.ensemble_rounds < 0:
+            raise ValueError(f"ensemble rounds must be nonnegative, got {self.ensemble_rounds}")
+        if self.target_dsc is not None and not (
+            isinstance(self.target_dsc, numbers.Real) and 0.0 <= self.target_dsc <= 1.0
+        ):
+            # a nan would never be reached and silently turn the early stop off
+            raise ValueError(f"target_dsc must be a number in [0, 1], got {self.target_dsc!r}")
 
 
 @dataclass(frozen=True)
@@ -250,7 +243,7 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
     state = move_to_labeled(state, [s.id for s in split.initial], initial_masks, "initial")
 
     params = segmenter.init_params(cfg.seed)
-    params = segmenter.train(params, _labeled_pairs(state), cfg.base_train_config(), cfg.loss_weights)
+    params = segmenter.train(params, _labeled_pairs(state), cfg.base_train, cfg.loss_weights)
     base_dsc, base_pairs = evaluate(params, split.test)
 
     ensemble: Optional[CrfEnsemble] = None

@@ -68,14 +68,32 @@ def _cmd_refine(args) -> int:
     return 0
 
 
+def _dice_cells(cells: list[str], header: list[str], columns: tuple[int, ...]) -> tuple[float, ...]:
+    """The Dice values of one pairs-CSV row, in ``columns`` order."""
+    if len(cells) < len(header):
+        raise ValueError(f"{len(cells)} cells, but the header has {len(header)}")
+    values = []
+    for i in columns:
+        try:
+            value = float(cells[i])
+        except ValueError:
+            raise ValueError(f"{header[i]} is not a number: {cells[i]!r}") from None
+        if not 0.0 <= value <= 1.0:  # also false for nan
+            raise ValueError(f"{header[i]} must be a Dice value in [0, 1], got {cells[i]!r}")
+        values.append(value)
+    return tuple(values)
+
+
 def _cmd_report(args) -> int:
     pairs = []
     with open(args.pairs, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        mi, ri = header.index("mean_dsc"), header.index("r_dsc")
-        for line in fh:
-            cells = line.strip().split(",")
-            pairs.append((float(cells[mi]), float(cells[ri])))
+        columns = header.index("mean_dsc"), header.index("r_dsc")
+        for lineno, line in enumerate(fh, 2):
+            try:
+                pairs.append(_dice_cells(line.strip().split(","), header, columns))
+            except ValueError as exc:
+                raise ValueError(f"{args.pairs}: line {lineno}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     coeff = harness.report_correlation(pairs, os.path.join(args.out, "correlation_ranks.csv"))
     with open(os.path.join(args.out, "correlation_summary.csv"), "w", encoding="ascii", newline="\n") as fh:

@@ -2,20 +2,20 @@
 
 Pairwise potentials combine a spatial Gaussian kernel and a bilateral
 (spatial + intensity) kernel under Potts compatibility; unaries come from
-a foreground-probability map.  Two message-passing paths are provided:
+a foreground-probability map.  Messages are passed through truncated
+kernels (radius 3 sigma, capped at the image extent); the all-pairs energy
+and mean-field step that check them live in ``tests/oracles.py``.
 
-* exact: all-pairs kernel sums, the ground-truth oracle (small images);
-* windowed: truncated kernels (radius 3 sigma, capped at the image extent).
-  The spatial kernel is a numpy separable filter in SciPy's summation order,
-  equal bit for bit to ``ndimage.correlate1d``.  The bilateral range weights
-  ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, for half
-  of the offsets (the kernel is symmetric), as one dense flat array per
-  offset row, and shared by both labels and every mean-field step.  A step
-  adds each offset row's terms with one ordered np.add.reduce, in the same
-  order as a loop over the offsets, so the floats are the same.  Its cost
-  stays O(r**2 * H * W) for window radius r; the published
-  SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
-  bilateral grid or permutohedral lattice replaces the window.
+The spatial kernel is a numpy separable filter in SciPy's summation order,
+equal bit for bit to ``ndimage.correlate1d``.  The bilateral range weights
+ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, for half
+of the offsets (the kernel is symmetric), as one dense flat array per
+offset row, and shared by both labels and every mean-field step.  A step
+adds each offset row's terms with one ordered np.add.reduce, in the same
+order as a loop over the offsets, so the floats are the same.  Its cost
+stays O(r**2 * H * W) for window radius r; the published
+SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
+bilateral grid or permutohedral lattice replaces the window.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .core import BinaryMask, ImageGrid, ProbMap
 
 UNARY_EPS = 1e-8
-EXACT_SIZE_LIMIT = 64  # largest height/width accepted by the all-pairs paths
 
 _PARAM_KEYS = (
     "gaussian.sdims",
@@ -105,24 +104,6 @@ class CrfParams:
         )
 
 
-@dataclass(frozen=True)
-class MarginalField:
-    """Per-pixel label distribution; channel 0 background, 1 foreground."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.q, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError(f"marginal field must have shape (H, W, 2), got {arr.shape}")
-        if arr.min() < 0 or arr.max() > 1 or not np.all(np.isfinite(arr)):
-            raise ValueError("marginals must be finite probabilities")
-        if np.abs(arr.sum(axis=2) - 1.0).max() > 1e-12:
-            raise ValueError("per-pixel marginals must sum to 1 within 1e-12")
-        arr.setflags(write=False)
-        object.__setattr__(self, "q", arr)
-
-
 # Published tuned centers for the two full-scale corpora this engine was
 # shaped after: dermoscopy skin-lesion photographs (192x240) and hand
 # radiographs (512x512).  Spatial sdims are in pixels at those resolutions,
@@ -156,10 +137,6 @@ def _softmax2(neg_energy: np.ndarray) -> np.ndarray:
     shifted = neg_energy - neg_energy.max(axis=2, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=2, keepdims=True)
-
-
-def initial_field(unary: np.ndarray) -> MarginalField:
-    return MarginalField(_softmax2(-unary))
 
 
 def _spatial_weights(sdims: float, radius: int) -> np.ndarray:
@@ -295,76 +272,13 @@ def _bilateral_messages(q: np.ndarray, table: list[np.ndarray]) -> np.ndarray:
     return acc.reshape(n_ch, h, w)
 
 
-def _exact_kernel_matrices(image: np.ndarray, params: CrfParams):
-    """Dense Gaussian and bilateral kernel matrices over all pixel pairs."""
-    h, w = image.shape
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    coords = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64)
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    k_gauss = np.exp(-d2 / (2.0 * params.gaussian_sdims**2))
-    intensity = image.ravel()
-    i2 = (intensity[:, None] - intensity[None, :]) ** 2
-    k_bilat = np.exp(-d2 / (2.0 * params.bilateral_sdims**2) - i2 / (2.0 * params.bilateral_schan**2))
-    return k_gauss, k_bilat
+def _potts_messages(image: np.ndarray, params: CrfParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Map from a field q (H, W, 2) to its windowed Potts messages (H, W, 2).
 
-
-def _check_exact_size(shape: tuple[int, int], what: str) -> None:
-    if max(shape) > EXACT_SIZE_LIMIT:
-        raise ValueError(
-            f"{what} is oracle-grade and limited to {EXACT_SIZE_LIMIT}x{EXACT_SIZE_LIMIT} "
-            f"images, got {shape[0]}x{shape[1]}"
-        )
-
-
-def gibbs_energy(y: BinaryMask, image: ImageGrid, p: ProbMap, params: CrfParams) -> float:
-    """Exact energy of a labeling: unary sum plus all pairwise Potts penalties."""
-    shape = (image.height, image.width)
-    if y.values.shape != image.values.shape or p.values.shape != image.values.shape:
-        raise ValueError("mask, image, and probability map must share dimensions")
-    _check_exact_size(shape, "gibbs_energy")
-    unary = unary_from_prob(p)
-    labels = y.values.ravel().astype(np.int64)
-    n = labels.size
-    energy = float(np.take_along_axis(unary.reshape(n, 2), labels[:, None], axis=1).sum())
-    k_gauss, k_bilat = _exact_kernel_matrices(image.values, params)
-    differ = labels[:, None] != labels[None, :]
-    pair = params.gaussian_compat * k_gauss + params.bilateral_compat * k_bilat
-    upper = np.triu(differ, k=1)
-    energy += float(pair[upper].sum())
-    return energy
-
-
-def _potts_messages(image: np.ndarray, params: CrfParams, method: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Map from a field q (H, W, 2) to its Potts messages (H, W, 2).
-
-    Everything that depends only on the image and the parameters (the exact
-    kernel matrices, the windowed bilateral weights) is built here, once, and
-    reused by every call.
+    The bilateral weights depend only on the image and the parameters, so
+    they are built here, once, and reused by every call.
     """
-    if method not in ("exact", "windowed"):
-        raise ValueError(f"unknown method {method!r}")
     h, w = image.shape
-    if method == "exact":
-        _check_exact_size((h, w), "exact meanfield_step")
-        k_gauss, k_bilat = _exact_kernel_matrices(image, params)
-
-        def exact(q: np.ndarray) -> np.ndarray:
-            messages = np.zeros((h, w, 2))
-            q_flat = q.reshape(h * w, 2)
-            for weight, kernel in (
-                (params.gaussian_compat, k_gauss),
-                (params.bilateral_compat, k_bilat),
-            ):
-                if weight == 0.0:
-                    continue
-                summed = kernel @ q_flat - q_flat  # exclude j = i (kernel diagonal is 1)
-                # label l is penalized by mass on the other label (Potts)
-                messages[:, :, 0] += weight * summed[:, 1].reshape(h, w)
-                messages[:, :, 1] += weight * summed[:, 0].reshape(h, w)
-            return messages
-
-        return exact
-
     table = None
     if params.bilateral_compat > 0.0:
         table = _bilateral_table(image, params.bilateral_sdims, params.bilateral_schan)
@@ -382,40 +296,24 @@ def _potts_messages(image: np.ndarray, params: CrfParams, method: str) -> Callab
     return windowed
 
 
-def meanfield_step(
-    Q: MarginalField,
-    image: ImageGrid,
-    unary: np.ndarray,
-    params: CrfParams,
-    method: str = "windowed",
-) -> MarginalField:
-    """One Jacobi-style mean-field update of every pixel's marginal.
-
-    method "exact" sums messages over all pixel pairs (oracle path, small
-    images only); "windowed" truncates both kernels at radius 3 sigma.
-    """
-    h, w = image.height, image.width
-    if Q.q.shape[:2] != (h, w) or unary.shape != (h, w, 2):
-        raise ValueError("field, image, and unary dimensions must agree")
-    messages = _potts_messages(image.values, params, method)
-    return MarginalField(_softmax2(-unary - messages(Q.q)))
-
-
-def infer(image: ImageGrid, p: ProbMap, params: CrfParams, method: str = "windowed") -> BinaryMask:
+def infer(image: ImageGrid, p: ProbMap, params: CrfParams) -> BinaryMask:
     """Mean-field decode: init from unaries, run params.steps updates, argmax.
 
     The messages' image-dependent weights are built once per call and shared
-    by every step.  The field stays a plain array between steps; only the
-    final one, which the argmax reads, is checked as a MarginalField.  Argmax
-    ties resolve to foreground, so with zero pairwise weights the result
-    equals thresholding the input map at 0.5.
+    by every step.  The final field, which the argmax reads, must hold
+    finite probabilities whose two labels sum to 1 within 1e-12 at every
+    pixel.  Argmax ties resolve to foreground, so with zero pairwise weights
+    the result equals thresholding the input map at 0.5.
     """
     if p.values.shape != image.values.shape:
         raise ValueError("field, image, and unary dimensions must agree")
     unary = unary_from_prob(p)
-    messages = _potts_messages(image.values, params, method)
+    messages = _potts_messages(image.values, params)
     q = _softmax2(-unary)
     for _ in range(params.steps):
         q = _softmax2(-unary - messages(q))
-    field = MarginalField(q)
-    return BinaryMask((field.q[:, :, 1] >= field.q[:, :, 0]).astype(np.uint8))
+    if not np.all(np.isfinite(q)) or q.min() < 0 or q.max() > 1:
+        raise ValueError("marginals must be finite probabilities")
+    if np.abs(q.sum(axis=2) - 1.0).max() > 1e-12:
+        raise ValueError("per-pixel marginals must sum to 1 within 1e-12")
+    return BinaryMask((q[:, :, 1] >= q[:, :, 0]).astype(np.uint8))

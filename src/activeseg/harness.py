@@ -9,7 +9,7 @@ pseudo-labeling active from iteration 3.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import alloop, selection
 from .alloop import ALConfig, DatasetSplit, RunResult
 from .core import BinaryMask, ImageGrid, Sample, load_dataset, save_dataset
 from .crf import CrfParams
-from .segmenter import LossWeights, TrainConfig
+from .segmenter import LossWeights, TrainConfig, TrainingDiverged
 from .selection import fmt, rank_correlation, write_scores_csv
 from .weaklabeler import PerturbSpec
 
@@ -36,11 +36,11 @@ class SyntheticSpec:
     """Parameters of the generated corpus."""
 
     n_samples: int
-    image_size: int = 32
-    shape: str = "blob"
-    noise_level: float = 0.15
-    occlusion_prob: float = 0.0
-    seed: int = 0
+    image_size: int
+    shape: str
+    noise_level: float
+    occlusion_prob: float
+    seed: int
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -130,12 +130,12 @@ class ExperimentConfig:
     """One experiment: dataset, split, loop settings, ablations, outputs."""
 
     dataset: Union[SyntheticSpec, str]  # synthetic spec or a dataset directory
-    n_initial: int = 40
-    n_pool: int = 200
-    n_test: int = 100
-    al: ALConfig = field(default_factory=ALConfig)
-    with_baseline: bool = False
-    output_dir: str = "out"
+    n_initial: int
+    n_pool: int
+    n_test: int
+    al: ALConfig
+    with_baseline: bool
+    output_dir: str
 
     def __post_init__(self):
         for name in ("n_initial", "n_pool", "n_test"):
@@ -201,7 +201,8 @@ class ConfigKey:
     kind: Optional[str] = None  # the only dataset kind that takes the key
 
 
-# One row per key, in echo order.  The defaults are the desk-scale preset.
+# One row per key, in echo order.  The defaults are the desk-scale preset,
+# and the only ones: the dataclasses a row sets have no field defaults.
 CONFIG_KEYS = (
     ConfigKey("dataset.kind", str, SYNTHETIC, ()),
     ConfigKey("dataset.dir", str, ".", ("dataset",), DIRECTORY),
@@ -340,8 +341,7 @@ def parse_config(path: str) -> ExperimentConfig:
 def _read(cfg: ExperimentConfig, path: str):
     obj = cfg
     for name in path.split("."):
-        # an unset base_train means "train the base model like finetune"
-        obj = obj.base_train_config() if name == "base_train" else getattr(obj, name)
+        obj = getattr(obj, name)
     return obj
 
 
@@ -444,7 +444,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
     for name, al_cfg in arms.items():
         out = cfg.output_dir if name == "method" else os.path.join(cfg.output_dir, name)
         os.makedirs(out, exist_ok=True)
-        result = alloop.run_detailed(split, al_cfg)
+        try:
+            result = alloop.run_detailed(split, al_cfg)
+        except TrainingDiverged as exc:
+            raise ValueError(f"{exc} (config key train.learning_rate)") from None
         results[name] = result
         write_run_log(os.path.join(out, "run_log.csv"), result)
         write_timings(os.path.join(out, "timings.txt"), result)

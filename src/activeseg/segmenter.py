@@ -107,9 +107,9 @@ class MultiHeadPrediction:
 class LossWeights:
     """Per-head loss weights; must sum to one."""
 
-    alpha_l: float = 0.1
-    alpha_m: float = 0.3
-    alpha_f: float = 0.6
+    alpha_l: float
+    alpha_m: float
+    alpha_f: float
 
     def __post_init__(self):
         for name in ("alpha_l", "alpha_m", "alpha_f"):
@@ -123,13 +123,17 @@ class LossWeights:
             raise ValueError(f"loss weights must sum to 1, got {sum(weights)}")
 
 
+class TrainingDiverged(ValueError):
+    """Descent left the parameters non-finite; the learning rate is too large."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    learning_rate: float = 1e-2
-    batch_size: int = 2
-    loss_kind: str = "cross_entropy"
-    seed: int = 0
+    epochs: int
+    learning_rate: float
+    batch_size: int
+    loss_kind: str
+    seed: int
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -558,7 +562,7 @@ def soft_dice_loss(p: ProbMap, target: BinaryMask) -> float:
 def total_loss(
     pred: MultiHeadPrediction,
     target: BinaryMask,
-    w: LossWeights = LossWeights(),
+    w: LossWeights,
     loss_kind: str = "cross_entropy",
 ) -> float:
     """Weighted sum of the three per-head losses; each is the training loss
@@ -618,7 +622,7 @@ def backward(
     params: SegmenterParams,
     image: ImageGrid,
     target: BinaryMask,
-    w: LossWeights = LossWeights(),
+    w: LossWeights,
     loss_kind: str = "cross_entropy",
 ) -> Dict[str, np.ndarray]:
     """Exact gradient of the weighted multi-head loss for one sample."""
@@ -639,7 +643,7 @@ def train(
     params: SegmenterParams,
     labeled_set: Sequence[Tuple[ImageGrid, BinaryMask]],
     cfg: TrainConfig,
-    w: LossWeights = LossWeights(),
+    w: LossWeights,
 ) -> SegmenterParams:
     """Mini-batch gradient descent over the labeled set, warm-starting from params.
 
@@ -650,7 +654,9 @@ def train(
     Every step runs on one step plan, sized by the first (largest) batch; a
     smaller tail batch takes ``[:n]`` views of its buffers.  The parameters
     and their gradients are two flat float32 vectors, conv kernels in gemm
-    layout, and the descent step updates them in place.
+    layout, and the descent step updates them in place.  After each epoch a
+    non-finite parameter raises ``TrainingDiverged``, naming the epoch and
+    the learning rate.
     """
     if len(labeled_set) == 0:
         raise ValueError("labeled set must be nonempty")
@@ -674,16 +680,23 @@ def train(
     lr = np.float32(cfg.learning_rate)
     full = _StepPlan.allocate(min(cfg.batch_size, len(labeled_set)), h, wdt, np.float32)
     plans = {full.n: full}
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(labeled_set))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            plan = plans.get(len(batch)) or plans.setdefault(len(batch), full.batch(len(batch)))
-            np.take(images, batch, axis=0, out=plan.bordered_x)
-            np.take(targets, batch, axis=0, out=plan.t)
-            plan.step(work, grads, plan.t, w, cfg.loss_kind)
-            grad *= lr  # flat -= lr * grad, float for float
-            flat -= grad
+    # a diverging descent overflows; the epoch check below reports it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(labeled_set))
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                plan = plans.get(len(batch)) or plans.setdefault(len(batch), full.batch(len(batch)))
+                np.take(images, batch, axis=0, out=plan.bordered_x)
+                np.take(targets, batch, axis=0, out=plan.t)
+                plan.step(work, grads, plan.t, w, cfg.loss_kind)
+                grad *= lr  # flat -= lr * grad, float for float
+                flat -= grad
+            if not np.isfinite(flat).all():
+                raise TrainingDiverged(
+                    f"training diverged in epoch {epoch} of {cfg.epochs}: non-finite parameters "
+                    f"at learning_rate={cfg.learning_rate!r}"
+                )
     return SegmenterParams(_canonical(work))
 
 

@@ -26,9 +26,9 @@ _CONTINUOUS_FIELDS = (
 class PerturbSpec:
     """How far ensemble members may wander from the reference parameters."""
 
-    relative_sigma: float = 0.05
-    floor: float = 1e-3
-    perturb_steps: bool = False
+    relative_sigma: float
+    floor: float
+    perturb_steps: bool
 
     def __post_init__(self):
         if not 0.0 <= self.relative_sigma < 0.5:

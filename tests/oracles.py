@@ -1,9 +1,15 @@
 """Independent reference implementations used to check the fast paths.
 
-The CRF references share no code with the package.  The brute-force step is
-written as plain scalar loops.  The per-offset windowed path recomputes each
-bilateral weight for every label, offset and step; the package's windowed
-path, which builds them once per decode, must match it bit for bit.
+The CRF references share no code with the package but its unaries.  The
+exact path sums Potts messages over all pixel pairs with dense kernel
+matrices (small images only) and gives the exact Gibbs energy of a
+labeling; the package's windowed path must stay within 1e-3 of its step.
+The brute-force step is written as plain scalar loops and checks the exact
+one.  The per-offset windowed path recomputes each bilateral weight for
+every label, offset and step; the package's windowed path, which builds
+them once per decode, must match it bit for bit.  ``windowed_step`` and
+``initial_field`` are not references: they run the package's own code, the
+step ``crf.infer`` loops over, so no second copy of it exists.
 
 The padded-copy training loop allocates its conv data afresh for every
 call: ``np.pad``, a sliding-window view and a transposed copy per im2col,
@@ -21,7 +27,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d
 
+from activeseg import crf
 from activeseg import segmenter as sg
+from activeseg.core import BinaryMask
+from activeseg.crf import unary_from_prob
+
+EXACT_SIZE_LIMIT = 64  # largest height/width accepted by the all-pairs paths
 
 
 def brute_force_meanfield_step(q, image, unary, params, radii=None):
@@ -125,6 +136,98 @@ def per_offset_windowed_infer(image, unary, params):
     for _ in range(params.steps):
         q = per_offset_windowed_step(q, image, unary, params)
     return (q[:, :, 1] >= q[:, :, 0]).astype(np.uint8)
+
+
+def windowed_step(q, image, unary, params):
+    """One step of the package's decode, the update ``crf.infer`` repeats
+    params.steps times from ``initial_field(unary)``."""
+    return crf._softmax2(-unary - crf._potts_messages(image.values, params)(q))
+
+
+def initial_field(unary):
+    """The field ``crf.infer`` starts from."""
+    return crf._softmax2(-unary)
+
+
+def _exact_kernel_matrices(image, params):
+    """Dense Gaussian and bilateral kernel matrices over all pixel pairs."""
+    h, w = image.shape
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    coords = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64)
+    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    k_gauss = np.exp(-d2 / (2.0 * params.gaussian_sdims**2))
+    intensity = image.ravel()
+    i2 = (intensity[:, None] - intensity[None, :]) ** 2
+    k_bilat = np.exp(-d2 / (2.0 * params.bilateral_sdims**2) - i2 / (2.0 * params.bilateral_schan**2))
+    return k_gauss, k_bilat
+
+
+def _check_exact_size(shape, what):
+    if max(shape) > EXACT_SIZE_LIMIT:
+        raise ValueError(
+            f"{what} is oracle-grade and limited to {EXACT_SIZE_LIMIT}x{EXACT_SIZE_LIMIT} "
+            f"images, got {shape[0]}x{shape[1]}"
+        )
+
+
+def gibbs_energy(y, image, p, params):
+    """Exact energy of a labeling: unary sum plus all pairwise Potts penalties."""
+    shape = (image.height, image.width)
+    if y.values.shape != image.values.shape or p.values.shape != image.values.shape:
+        raise ValueError("mask, image, and probability map must share dimensions")
+    _check_exact_size(shape, "gibbs_energy")
+    unary = unary_from_prob(p)
+    labels = y.values.ravel().astype(np.int64)
+    n = labels.size
+    energy = float(np.take_along_axis(unary.reshape(n, 2), labels[:, None], axis=1).sum())
+    k_gauss, k_bilat = _exact_kernel_matrices(image.values, params)
+    differ = labels[:, None] != labels[None, :]
+    pair = params.gaussian_compat * k_gauss + params.bilateral_compat * k_bilat
+    upper = np.triu(differ, k=1)
+    energy += float(pair[upper].sum())
+    return energy
+
+
+def exact_messages(image, params):
+    """Map from a field q (H, W, 2) to its all-pairs Potts messages (H, W, 2)."""
+    h, w = image.shape
+    _check_exact_size((h, w), "exact meanfield_step")
+    k_gauss, k_bilat = _exact_kernel_matrices(image, params)
+
+    def exact(q):
+        messages = np.zeros((h, w, 2))
+        q_flat = q.reshape(h * w, 2)
+        for weight, kernel in (
+            (params.gaussian_compat, k_gauss),
+            (params.bilateral_compat, k_bilat),
+        ):
+            if weight == 0.0:
+                continue
+            summed = kernel @ q_flat - q_flat  # exclude j = i (kernel diagonal is 1)
+            # label l is penalized by mass on the other label (Potts)
+            messages[:, :, 0] += weight * summed[:, 1].reshape(h, w)
+            messages[:, :, 1] += weight * summed[:, 0].reshape(h, w)
+        return messages
+
+    return exact
+
+
+def meanfield_step(q, image, unary, params):
+    """One Jacobi-style mean-field update of every pixel's marginal, with
+    messages summed over all pixel pairs."""
+    h, w = image.height, image.width
+    if q.shape[:2] != (h, w) or unary.shape != (h, w, 2):
+        raise ValueError("field, image, and unary dimensions must agree")
+    return _softmax2(-unary - exact_messages(image.values, params)(q))
+
+
+def exact_infer(image, p, params):
+    """Mean-field decode over the exact step; ties go to foreground."""
+    unary = unary_from_prob(p)
+    q = _softmax2(-unary)
+    for _ in range(params.steps):
+        q = meanfield_step(q, image, unary, params)
+    return BinaryMask((q[:, :, 1] >= q[:, :, 0]).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +388,7 @@ def padded_loss_and_grads(tens, x, t, w, loss_kind):
     return total, grads
 
 
-def padded_train(params, labeled_set, cfg, w=sg.LossWeights()):
+def padded_train(params, labeled_set, cfg, w):
     """Mini-batch descent in float32, each step on freshly allocated conv data."""
     images = np.stack([img.values for img, _ in labeled_set]).astype(np.float32)[:, :, :, None]
     targets = np.stack([m.values for _, m in labeled_set]).astype(np.float32)[:, :, :, None]

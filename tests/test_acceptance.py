@@ -11,15 +11,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import brute_force_meanfield_step
+from oracles import brute_force_meanfield_step, initial_field, meanfield_step, windowed_step
 
 from activeseg import alloop, harness, segmenter as sg, selection
 from activeseg.core import BinaryMask, ImageGrid, ProbMap, binarize, dice
-from activeseg.crf import CrfParams, infer, initial_field, meanfield_step, unary_from_prob
+from activeseg.crf import CrfParams, infer, unary_from_prob
 from activeseg.harness import default_experiment
-from activeseg.segmenter import LossWeights, SegmenterParams, init_params
+from activeseg.segmenter import SegmenterParams, init_params
 from activeseg.selection import confidence, confidence_threshold, rank_correlation, score_sample
-from activeseg.weaklabeler import PerturbSpec, build_ensemble, refine
+from activeseg.weaklabeler import build_ensemble, refine
 
 
 def check(num, ok, detail):
@@ -56,7 +56,7 @@ def loop_study():
             t0 = time.perf_counter()
             pairs = [(s.image, s.require_ground_truth()) for s in list(split.initial) + list(split.pool)]
             params = sg.train(
-                init_params(seed), pairs, replace(cfg.al.base_train_config(), epochs=40)
+                init_params(seed), pairs, replace(cfg.al.base_train, epochs=40), cfg.al.loss_weights
             )
             study["fullsup"][seed] = alloop.evaluate(params, split.test)[0]
             study["fullsup_seconds"][seed] = time.perf_counter() - t0
@@ -78,7 +78,7 @@ class TestCriterion1Gradients:
         rng = np.random.default_rng(0)
         img = ImageGrid(rng.uniform(0, 1, (16, 16)))
         tgt = BinaryMask((rng.uniform(0, 1, (16, 16)) > 0.5).astype(int))
-        w = LossWeights()
+        w = default_experiment().al.loss_weights
         grads = sg.backward(params, img, tgt, w, loss_kind)
 
         x = img.values[None, :, :, None]
@@ -126,11 +126,11 @@ class TestCriterion2CrfOracle:
             )
             u = unary_from_prob(p)
             q = initial_field(u)
-            exact = meanfield_step(q, image, u, params, method="exact")
-            windowed = meanfield_step(q, image, u, params, method="windowed")
-            brute = brute_force_meanfield_step(q.q, image.values, u, params)
-            worst_windowed = max(worst_windowed, float(np.abs(windowed.q - exact.q).max()))
-            worst_exact = max(worst_exact, float(np.abs(exact.q - brute).max()))
+            exact = meanfield_step(q, image, u, params)
+            windowed = windowed_step(q, image, u, params)
+            brute = brute_force_meanfield_step(q, image.values, u, params)
+            worst_windowed = max(worst_windowed, float(np.abs(windowed - exact).max()))
+            worst_exact = max(worst_exact, float(np.abs(exact - brute).max()))
         check(
             2,
             worst_windowed < 1e-3 and worst_exact < 1e-9,
@@ -269,6 +269,7 @@ class TestCriterion10EnsembleRefinement:
     def test_vote_vs_center_and_input(self):
         rng = np.random.default_rng(100)
         center = CrfParams(1.5, 0.4, 2.5, 0.15, 0.6, 2)
+        spec = default_experiment().al.perturb
         hits = 0
         for trial in range(20):
             clean = np.zeros((32, 32), dtype=np.uint8)
@@ -282,7 +283,7 @@ class TestCriterion10EnsembleRefinement:
             corrupted[flips] = 1 - corrupted[flips]
             image = ImageGrid(np.clip(0.2 + 0.6 * clean + rng.normal(0, 0.05, clean.shape), 0, 1))
             prob = ProbMap(np.where(corrupted == 1, 0.85, 0.15))
-            ens = build_ensemble(center, 5, PerturbSpec(), seed=trial)
+            ens = build_ensemble(center, 5, spec, seed=trial)
             vote = refine(ens, image, prob)
             single = infer(image, prob, center)
             clean_mask = BinaryMask(clean)
@@ -324,7 +325,7 @@ class TestCriterion12Determinism:
                     k_weak=2,
                     pseudo_start_iter=2,
                     finetune=replace(cfg.al.finetune, epochs=2),
-                    base_train=replace(cfg.al.base_train_config(), epochs=3),
+                    base_train=replace(cfg.al.base_train, epochs=3),
                     ensemble_size=3,
                     ensemble_rounds=1,
                 ),

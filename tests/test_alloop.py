@@ -8,9 +8,8 @@ from activeseg import alloop
 from activeseg.alloop import ALConfig, DatasetSplit, oracle_label, run_detailed, run_iteration
 from activeseg.core import BinaryMask, ImageGrid, PoolState, Sample, move_to_labeled
 from activeseg.crf import CrfParams
-from activeseg.harness import SyntheticSpec, generate_synthetic
+from activeseg.harness import SyntheticSpec, default_experiment, generate_synthetic
 from activeseg.segmenter import TrainConfig, init_params
-from activeseg.weaklabeler import PerturbSpec
 
 
 def tiny_dataset(n, seed=0, size=16):
@@ -32,12 +31,11 @@ def tiny_config(**overrides) -> ALConfig:
         base_train=train,
         crf_center=CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1),
         ensemble_size=3,
-        perturb=PerturbSpec(),
         ensemble_rounds=1,
         seed=0,
     )
     defaults.update(overrides)
-    return ALConfig(**defaults)
+    return replace(default_experiment().al, **defaults)
 
 
 def tiny_split(n_initial=4, n_pool=12, n_test=4, seed=0):

@@ -1,17 +1,20 @@
+import dataclasses
 import hashlib
+import importlib.util
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from activeseg import cli
-from activeseg.alloop import ALConfig
+import activeseg
+from activeseg import cli, harness
 from activeseg.core import BinaryMask, ImageGrid, Sample, binarize, load_dataset, save_dataset
 from activeseg.crf import CrfParams
 from activeseg.harness import (
     CONFIG_KEYS,
-    ExperimentConfig,
     SyntheticSpec,
     default_experiment,
     echo_config,
@@ -24,14 +27,17 @@ from activeseg.harness import (
     with_keys,
 )
 from activeseg.segmenter import TrainConfig
-from activeseg.weaklabeler import PerturbSpec
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = os.path.join(ROOT, "README.md")
+# a 32x32 blob corpus without occlusion, which the generator tests vary
+PLAIN = SyntheticSpec(n_samples=1, image_size=32, shape="blob", noise_level=0.15, occlusion_prob=0.0, seed=0)
+PERTURB = default_experiment().al.perturb
 
 
 class TestGenerator:
     def test_deterministic(self):
-        spec = SyntheticSpec(n_samples=6, seed=4)
+        spec = replace(PLAIN, n_samples=6, seed=4)
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
         for s, t in zip(a, b):
@@ -49,14 +55,14 @@ class TestGenerator:
         assert h.hexdigest() == "a9992fd9843c25f39e495bff61e8996ca05a0c0c3dce312ba3c56049f356ab5b"
 
     def test_noiseless_rendering_is_exact(self):
-        spec = SyntheticSpec(n_samples=5, noise_level=0.0, occlusion_prob=0.0, seed=2)
+        spec = replace(PLAIN, n_samples=5, noise_level=0.0, occlusion_prob=0.0, seed=2)
         for s in generate_synthetic(spec):
             expected = np.where(s.ground_truth.values == 1, 0.8, 0.2)
             np.testing.assert_array_equal(s.image.values, expected)
 
     def test_masks_recoverable_by_threshold(self):
         # noiseless images threshold back to the exact mask, occluded or not
-        spec = SyntheticSpec(n_samples=8, noise_level=0.0, occlusion_prob=1.0, seed=3)
+        spec = replace(PLAIN, n_samples=8, noise_level=0.0, occlusion_prob=1.0, seed=3)
         for s in generate_synthetic(spec):
             from activeseg.core import ProbMap
 
@@ -65,24 +71,24 @@ class TestGenerator:
 
     def test_foreground_fraction_bounds(self):
         for shape in ("ellipse", "blob", "rectangle"):
-            spec = SyntheticSpec(n_samples=10, shape=shape, seed=1)
+            spec = replace(PLAIN, n_samples=10, shape=shape, seed=1)
             for s in generate_synthetic(spec):
                 frac = s.ground_truth.values.mean()
                 assert 0.05 <= frac <= 0.6
 
     def test_rsna_shaped_split_arithmetic(self):
-        spec = SyntheticSpec(n_samples=340, seed=0)
-        cfg = ExperimentConfig(dataset=spec, n_initial=40, n_pool=200, n_test=100)
+        spec = replace(PLAIN, n_samples=340, seed=0)
+        cfg = replace(default_experiment(), dataset=spec, n_initial=40, n_pool=200, n_test=100)
         split = make_split(generate_synthetic(spec), cfg)
         assert (len(split.initial), len(split.pool), len(split.test)) == (40, 200, 100)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SyntheticSpec(n_samples=0)
+            replace(PLAIN, n_samples=0)
         with pytest.raises(ValueError):
-            SyntheticSpec(n_samples=1, image_size=10)
+            replace(PLAIN, n_samples=1, image_size=10)
         with pytest.raises(ValueError):
-            SyntheticSpec(n_samples=1, shape="triangle")
+            replace(PLAIN, n_samples=1, shape="triangle")
 
 
 def write_dataset(root, sizes, seed=0):
@@ -95,9 +101,11 @@ def write_dataset(root, sizes, seed=0):
     return root
 
 
-def tiny_experiment(tmp_path, **al_overrides) -> ExperimentConfig:
+def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
     train = TrainConfig(epochs=1, learning_rate=0.3, batch_size=2, loss_kind="cross_entropy", seed=0)
-    al = ALConfig(
+    cfg = default_experiment()
+    al = replace(
+        cfg.al,
         iterations=2,
         k_strong=3,
         k_weak=2,
@@ -107,12 +115,12 @@ def tiny_experiment(tmp_path, **al_overrides) -> ExperimentConfig:
         base_train=train,
         crf_center=CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1),
         ensemble_size=3,
-        perturb=PerturbSpec(),
         ensemble_rounds=1,
         seed=0,
         **al_overrides,
     )
-    return ExperimentConfig(
+    return replace(
+        cfg,
         dataset=SyntheticSpec(n_samples=24, image_size=16, shape="ellipse",
                               noise_level=0.1, occlusion_prob=0.3, seed=0),
         n_initial=4,
@@ -160,6 +168,19 @@ class TestConfigRoundtrip:
     def test_with_keys_error_names_only_the_keys_it_sets(self, tmp_path):
         with pytest.raises(ValueError, match=r"odd .* \(config key ensemble\.members\)$"):
             with_keys(tiny_experiment(tmp_path), {"ensemble.members": 4, "seed": None})
+
+    def test_no_field_a_key_sets_has_a_default(self):
+        # CONFIG_KEYS is the one place a default is written
+        defaulted = set()
+        for key in CONFIG_KEYS:
+            for path in key.fields:
+                parts = path.split(".")
+                for i, name in enumerate(parts):
+                    section = harness._SECTIONS[".".join(parts[:i])]
+                    field = {f.name: f for f in dataclasses.fields(section)}[name]
+                    if field.default is not dataclasses.MISSING or field.default_factory is not dataclasses.MISSING:
+                        defaulted.add(f"{section.__name__}.{name}")
+        assert sorted(defaulted) == []
 
     def test_readme_table_matches_the_keys(self):
         with open(README, encoding="utf-8") as fh:
@@ -325,7 +346,7 @@ class TestCli:
         image_to_pgm(img_path, ImageGrid(rng.uniform(0, 1, (16, 16))))
         write_pgm(prob_path, (rng.uniform(0, 1, (16, 16)) * 255).astype(np.uint8))
         ens_path = str(tmp_path / "ens.txt")
-        save_ensemble(ens_path, build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PerturbSpec(), 0), PerturbSpec())
+        save_ensemble(ens_path, build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PERTURB, 0), PERTURB)
         out_path = str(tmp_path / "mask.pgm")
         rc = cli.main(["refine", "--image", img_path, "--prob", prob_path,
                        "--ensemble", ens_path, "--out", out_path])
@@ -342,6 +363,35 @@ class TestCli:
         rc = cli.main(["report", "--pairs", pairs_path, "--out", out_dir])
         assert rc == 0
         assert os.path.exists(os.path.join(out_dir, "correlation_summary.csv"))
+
+    @pytest.mark.parametrize("row, text", [
+        ("0,s3,0.5", "line 5: 3 cells, but the header has 4"),
+        ("0,s3,high,0.5", "line 5: mean_dsc is not a number: 'high'"),
+        ("0,s3,nan,0.5", "line 5: mean_dsc must be a Dice value in [0, 1], got 'nan'"),
+        ("0,s3,0.5,inf", "line 5: r_dsc must be a Dice value in [0, 1], got 'inf'"),
+        ("0,s3,0.5,1.5", "line 5: r_dsc must be a Dice value in [0, 1], got '1.5'"),
+    ])
+    def test_bad_report_row_is_one_line_error(self, tmp_path, capsys, row, text):
+        pairs_path = str(tmp_path / "pairs.csv")
+        rows = [f"0,s{i},{i / 20},{i / 30}" for i in range(12)]
+        rows[3] = row
+        with open(pairs_path, "w") as fh:
+            fh.write("iteration,sample_id,mean_dsc,r_dsc\n" + "\n".join(rows) + "\n")
+        argv = ["report", "--pairs", pairs_path, "--out", str(tmp_path / "rep")]
+        self.one_line_error(capsys, argv, pairs_path, text)
+
+    def test_diverging_run_is_one_line_error_naming_the_key(self, tmp_path):
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write("dataset.n_samples=24\ndataset.image_size=16\nsplit.initial=4\nsplit.pool=10\n"
+                     f"split.test=10\ntrain.base_epochs=2\ntrain.learning_rate=1e30\noutput.dir={tmp_path / 'out'}\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(activeseg.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "activeseg.cli", "run", "--config", cfg_path],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: training diverged in epoch 1 of 2: ")
+        assert proc.stderr.endswith("learning_rate=1e+30 (config key train.learning_rate)\n")
 
     def test_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
@@ -376,6 +426,9 @@ class TestCli:
         "train.learning_rate=nan",
         "train.learning_rate=inf",
         "loss.alpha_l=nan",
+        "ensemble.rounds=-1",
+        "al.target_dsc=nan",
+        "al.target_dsc=1.5",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")
@@ -432,8 +485,8 @@ class TestCli:
                  "ensemble": str(tmp_path / "ens.txt")}
         image_to_pgm(paths["image"], ImageGrid(rng.uniform(0, 1, (8, 8))))
         write_pgm(paths["prob"], (rng.uniform(0, 1, (8, 8)) * 255).astype(np.uint8))
-        save_ensemble(paths["ensemble"], build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PerturbSpec(), 0),
-                      PerturbSpec())
+        save_ensemble(paths["ensemble"], build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PERTURB, 0),
+                      PERTURB)
         return paths
 
     @staticmethod
@@ -533,3 +586,16 @@ class TestCli:
         assert sorted(os.listdir(tmp_path / "cli" / "images")) == names
         for path in ["manifest.txt"] + [f"{d}/{n}" for d in ("images", "masks") for n in names]:
             assert (tmp_path / "cli" / path).read_bytes() == (tmp_path / "lib" / path).read_bytes(), path
+
+
+def test_benchmark_wrapped_names_resolve(monkeypatch):
+    """perfbench wraps library functions by name, so a rename must fail here
+    rather than abort a benchmark run."""
+    spec = importlib.util.spec_from_file_location("spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    spec.loader.exec_module(spans)
+    assert len(spans.resolve(spans.BOUNDARIES)) == len(spans.BOUNDARIES)
+    assert callable(activeseg.dice)
+    for name in ("default_experiment", "echo_config", "parse_config_text", "run_experiment"):
+        assert callable(getattr(harness, name))

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -22,6 +24,9 @@ from activeseg.segmenter import (
     total_loss,
     train,
 )
+
+W = LossWeights(alpha_l=0.1, alpha_m=0.3, alpha_f=0.6)
+TRAIN = TrainConfig(epochs=10, learning_rate=1e-2, batch_size=2, loss_kind="cross_entropy", seed=0)
 
 
 def random_instance(size=16, seed=0):
@@ -135,7 +140,7 @@ class TestLosses:
         half = ProbMap(np.full((4, 4), 0.5))
         pred = sg.MultiHeadPrediction(half, half, half)
         t = BinaryMask(np.eye(4, dtype=int))
-        assert total_loss(pred, t, LossWeights()) == pytest.approx(math.log(2), rel=1e-12)
+        assert total_loss(pred, t, W) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_total_loss_single_head(self):
         rng = np.random.default_rng(1)
@@ -161,7 +166,7 @@ class TestLosses:
                     acc += -(tv * math.log(pv) + (1 - tv) * math.log(1 - pv))
             per_head.append(acc / 64)
         expected = 0.1 * per_head[0] + 0.3 * per_head[1] + 0.6 * per_head[2]
-        assert total_loss(pred, t, LossWeights()) == pytest.approx(expected, rel=1e-12)
+        assert total_loss(pred, t, W) == pytest.approx(expected, rel=1e-12)
 
     def test_total_loss_between_head_losses(self):
         rng = np.random.default_rng(14)
@@ -169,7 +174,7 @@ class TestLosses:
         pred = sg.MultiHeadPrediction(*maps)
         t = BinaryMask((rng.uniform(size=(8, 8)) > 0.5).astype(int))
         losses = [head_loss(m, t) for m in maps]
-        v = total_loss(pred, t, LossWeights())
+        v = total_loss(pred, t, W)
         assert min(losses) <= v <= max(losses)
 
     @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
@@ -202,7 +207,7 @@ class TestLosses:
     def test_weights_must_be_finite(self, name):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                LossWeights(**{name: bad})
+                replace(W, **{name: bad})
 
 
 class TestBackward:
@@ -210,7 +215,7 @@ class TestBackward:
     def test_matches_finite_differences(self, loss_kind):
         params = kink_free_params()
         img, tgt = random_instance(16, seed=0)
-        w = LossWeights()
+        w = W
         grads = backward(params, img, tgt, w, loss_kind)
         x = img.values[None, :, :, None]
         t = tgt.values.astype(float)[None, :, :, None]
@@ -245,8 +250,8 @@ class TestBackward:
     def test_deterministic(self):
         params = init_params(4)
         img, tgt = random_instance(16, seed=3)
-        a = backward(params, img, tgt)
-        b = backward(params, img, tgt)
+        a = backward(params, img, tgt, W)
+        b = backward(params, img, tgt, W)
         for name in PARAM_SHAPES:
             np.testing.assert_array_equal(a[name], b[name])
 
@@ -263,46 +268,54 @@ class TestTrain:
         pair = self.make_pair()
         params = init_params(0)
         cfg = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=1, loss_kind="cross_entropy", seed=0)
-        before = total_loss(forward(params, pair[0]), pair[1])
-        after_params = train(params, [pair], cfg)
-        after = total_loss(forward(after_params, pair[0]), pair[1])
+        before = total_loss(forward(params, pair[0]), pair[1], W)
+        after_params = train(params, [pair], cfg, W)
+        after = total_loss(forward(after_params, pair[0]), pair[1], W)
         assert after < before
 
     def test_zero_epochs_is_identity(self):
         pair = self.make_pair()
         params = init_params(0)
-        out = train(params, [pair], TrainConfig(epochs=0, seed=0))
+        out = train(params, [pair], replace(TRAIN, epochs=0), W)
         assert out is params
 
     def test_seeded_reproducibility(self):
         pairs = [self.make_pair(s) for s in range(4)]
         cfg = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=2, loss_kind="soft_dice", seed=9)
-        a = train(init_params(1), pairs, cfg)
-        b = train(init_params(1), pairs, cfg)
+        a = train(init_params(1), pairs, cfg, W)
+        b = train(init_params(1), pairs, cfg, W)
         for name in PARAM_SHAPES:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            train(init_params(0), [], TrainConfig())
+            train(init_params(0), [], TRAIN, W)
 
     def test_mixed_sizes_rejected(self):
         a = (ImageGrid(np.zeros((16, 16))), BinaryMask(np.zeros((16, 16), dtype=int)))
         b = (ImageGrid(np.zeros((8, 8))), BinaryMask(np.zeros((8, 8), dtype=int)))
         with pytest.raises(ValueError, match="single raster size"):
-            train(init_params(0), [a, b], TrainConfig(epochs=1))
+            train(init_params(0), [a, b], replace(TRAIN, epochs=1), W)
+
+    def test_divergence_names_the_learning_rate_and_epoch(self):
+        pairs = [self.make_pair(s) for s in range(4)]
+        cfg = replace(TRAIN, epochs=2, learning_rate=1e30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(sg.TrainingDiverged, match=r"in epoch 1 of 2: .* at learning_rate=1e\+30$"):
+                train(init_params(0), pairs, cfg, W)
 
     def test_learning_rate_must_be_finite(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="learning_rate must be finite"):
-                TrainConfig(learning_rate=bad)
+                replace(TRAIN, learning_rate=bad)
 
     def test_epochs_and_batch_size_must_be_integers(self):
         for name in ("epochs", "batch_size"):
             for bad in (1.5, 2.5, True, "2", None):
                 with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                    TrainConfig(**{name: bad})
-        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int64(3))
+                    replace(TRAIN, **{name: bad})
+        cfg = replace(TRAIN, epochs=np.int64(2), batch_size=np.int64(3))
         assert (cfg.epochs, cfg.batch_size) == (2, 3)
 
 
@@ -351,7 +364,7 @@ class TestConvWorkspace:
     def test_train_matches_padded_copy(self, n, size, batch_size, loss_kind):
         data = labeled_set(n, size, seed=n)
         cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, loss_kind=loss_kind, seed=3)
-        assert_same_bytes(train(init_params(1), data, cfg), oracles.padded_train(init_params(1), data, cfg))
+        assert_same_bytes(train(init_params(1), data, cfg, W), oracles.padded_train(init_params(1), data, cfg, W))
 
     @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
     def test_train_matches_padded_copy_at_the_benchmark_shape(self, loss_kind):
@@ -359,7 +372,7 @@ class TestConvWorkspace:
         in a tail batch of one."""
         data = labeled_set(47, 32, seed=47)
         cfg = TrainConfig(epochs=2, learning_rate=0.5, batch_size=2, loss_kind=loss_kind, seed=3)
-        assert_same_bytes(train(init_params(1), data, cfg), oracles.padded_train(init_params(1), data, cfg))
+        assert_same_bytes(train(init_params(1), data, cfg, W), oracles.padded_train(init_params(1), data, cfg, W))
 
     def test_train_matches_padded_copy_when_every_pooling_window_ties(self):
         """On all-zero images every activation is a function of the biases
@@ -369,15 +382,15 @@ class TestConvWorkspace:
         blank = (ImageGrid(np.zeros((16, 16))), BinaryMask(np.eye(16, dtype=int)))
         cfg = TrainConfig(epochs=3, learning_rate=0.5, batch_size=2, loss_kind="cross_entropy", seed=1)
         params = kink_free_params()
-        assert_same_bytes(train(params, [blank] * 3, cfg), oracles.padded_train(params, [blank] * 3, cfg))
+        assert_same_bytes(train(params, [blank] * 3, cfg, W), oracles.padded_train(params, [blank] * 3, cfg, W))
 
     def test_successive_trains_at_two_sizes(self):
         params = init_params(2)
-        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=2, seed=4)
+        cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=2, loss_kind="cross_entropy", seed=4)
         for size in (16, 32):
             data = labeled_set(3, size, seed=size)
-            got = train(params, data, cfg)
-            assert_same_bytes(got, oracles.padded_train(params, data, cfg))
+            got = train(params, data, cfg, W)
+            assert_same_bytes(got, oracles.padded_train(params, data, cfg, W))
             params = got
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -387,8 +400,8 @@ class TestConvWorkspace:
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, (2, 16, 16, 1)).astype(dtype)
         t = (rng.uniform(0, 1, (2, 16, 16, 1)) > 0.5).astype(dtype)
-        loss, grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), loss_kind)
-        ref_loss, ref_grads = oracles.padded_loss_and_grads(tensors, x, t, LossWeights(), loss_kind)
+        loss, grads = sg._loss_and_grads_batch(tensors, x, t, W, loss_kind)
+        ref_loss, ref_grads = oracles.padded_loss_and_grads(tensors, x, t, W, loss_kind)
         assert loss == ref_loss
         assert_same_bytes(grads, ref_grads)
 
@@ -422,13 +435,13 @@ class TestConvWorkspace:
             plan = full.batch(n)
             np.copyto(plan.x, x)
             views = sg._param_views(np.empty_like(flat))
-            loss = plan.step(sg._param_views(flat), views, t, LossWeights(), "cross_entropy")
+            loss = plan.step(sg._param_views(flat), views, t, W, "cross_entropy")
             grads = sg._canonical(views)
-            ref_loss, ref_grads = sg._loss_and_grads_batch(tensors, x, t, LossWeights(), "cross_entropy")
+            ref_loss, ref_grads = sg._loss_and_grads_batch(tensors, x, t, W, "cross_entropy")
             assert loss == ref_loss
             assert_same_bytes(grads, ref_grads)
         if dtype is np.float64:
-            ref_grads = backward(params, ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int)))
+            ref_grads = backward(params, ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int)), W)
             assert_same_bytes(grads, ref_grads)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,16 +25,17 @@ CENTER = CrfParams(
     bilateral_compat=0.6,
     steps=2,
 )
+SPEC = PerturbSpec(relative_sigma=0.05, floor=1e-3, perturb_steps=False)
 
 
 class TestPerturb:
     def test_zero_sigma_is_identity(self):
-        spec = PerturbSpec(relative_sigma=0.0)
+        spec = replace(SPEC, relative_sigma=0.0)
         member = perturb(CENTER, spec, np.random.default_rng(0))
         assert member == CENTER
 
     def test_seeded_reproducibility(self):
-        spec = PerturbSpec()
+        spec = SPEC
         a = perturb(CENTER, spec, np.random.default_rng(5))
         b = perturb(CENTER, spec, np.random.default_rng(5))
         assert a == b
@@ -40,7 +43,7 @@ class TestPerturb:
     def test_three_sigma_coverage(self):
         # center 29.93 with 5% sigma: |draw - center| < 3 sigma nearly always
         center = CrfParams(29.93, 9.06, 28.19, 5.59, 9.46, 2)
-        spec = PerturbSpec(relative_sigma=0.05)
+        spec = replace(SPEC, relative_sigma=0.05)
         rng = np.random.default_rng(11)
         inside = 0
         trials = 10_000
@@ -51,7 +54,7 @@ class TestPerturb:
 
     def test_floor_applies(self):
         tiny = CrfParams(1e-3, 1e-3, 1e-3, 1e-3, 1e-3, 1)
-        spec = PerturbSpec(relative_sigma=0.4, floor=1e-3)
+        spec = replace(SPEC, relative_sigma=0.4)
         rng = np.random.default_rng(1)
         for _ in range(100):
             m = perturb(tiny, spec, rng)
@@ -60,36 +63,36 @@ class TestPerturb:
 
     def test_steps_fixed_by_default(self):
         rng = np.random.default_rng(2)
-        assert all(perturb(CENTER, PerturbSpec(), rng).steps == CENTER.steps for _ in range(20))
+        assert all(perturb(CENTER, SPEC, rng).steps == CENTER.steps for _ in range(20))
 
     def test_sigma_bound(self):
         with pytest.raises(ValueError):
-            PerturbSpec(relative_sigma=0.5)
+            replace(SPEC, relative_sigma=0.5)
 
 
 class TestEnsemble:
     def test_even_size_rejected(self):
         with pytest.raises(ValueError):
-            build_ensemble(CENTER, 4, PerturbSpec(), 0)
+            build_ensemble(CENTER, 4, SPEC, 0)
 
     def test_singleton(self):
-        ens = build_ensemble(CENTER, 1, PerturbSpec(relative_sigma=0.0), 0)
+        ens = build_ensemble(CENTER, 1, replace(SPEC, relative_sigma=0.0), 0)
         assert len(ens.members) == 1
         assert ens.members[0] == CENTER
 
     def test_reproducible_distinct_members(self):
-        a = build_ensemble(CENTER, 5, PerturbSpec(), 7)
-        b = build_ensemble(CENTER, 5, PerturbSpec(), 7)
+        a = build_ensemble(CENTER, 5, SPEC, 7)
+        b = build_ensemble(CENTER, 5, SPEC, 7)
         assert a.members == b.members
         assert len(set(a.members)) == 5
 
     def test_snapshot_roundtrip(self, tmp_path):
-        ens = build_ensemble(CENTER, 5, PerturbSpec(), 3)
+        ens = build_ensemble(CENTER, 5, SPEC, 3)
         path = str(tmp_path / "ens.txt")
-        save_ensemble(path, ens, PerturbSpec())
+        save_ensemble(path, ens, SPEC)
         loaded, spec = load_ensemble(path)
         assert loaded == ens
-        assert spec == PerturbSpec()
+        assert spec == SPEC
 
 
 class TestMajorityVote:
@@ -132,7 +135,7 @@ class TestRefine:
         rng = np.random.default_rng(5)
         image = ImageGrid(rng.uniform(0, 1, (8, 8)))
         p = ProbMap(rng.uniform(0, 1, (8, 8)))
-        ens = build_ensemble(CENTER, 1, PerturbSpec(relative_sigma=0.0), 0)
+        ens = build_ensemble(CENTER, 1, replace(SPEC, relative_sigma=0.0), 0)
         np.testing.assert_array_equal(
             refine(ens, image, p).values, infer(image, p, CENTER).values
         )
@@ -140,7 +143,7 @@ class TestRefine:
     def test_zero_pairwise_is_threshold(self):
         rng = np.random.default_rng(6)
         off = CrfParams(1.0, 0.0, 1.0, 0.5, 0.0, 2)
-        ens = build_ensemble(off, 3, PerturbSpec(relative_sigma=0.0), 0)
+        ens = build_ensemble(off, 3, replace(SPEC, relative_sigma=0.0), 0)
         image = ImageGrid(rng.uniform(0, 1, (8, 8)))
         p = ProbMap(rng.uniform(0, 1, (8, 8)))
         np.testing.assert_array_equal(refine(ens, image, p).values, binarize(p, 0.5).values)
@@ -156,7 +159,7 @@ class TestRefine:
             noisy[flips] = 1 - noisy[flips]
             image = ImageGrid(0.2 + 0.6 * clean.astype(float))
             prob = ProbMap(np.where(noisy == 1, 0.85, 0.15))
-            ens = build_ensemble(CENTER, 5, PerturbSpec(), int(rng.integers(1 << 30)))
+            ens = build_ensemble(CENTER, 5, SPEC, int(rng.integers(1 << 30)))
             refined = refine(ens, image, prob)
             wins += dice(refined, BinaryMask(clean)) >= dice(BinaryMask(noisy), BinaryMask(clean))
         assert wins >= 16  # at least 80% of seeded trials
@@ -178,15 +181,15 @@ class TestGreedyFinetune:
         return items
 
     def test_zero_rounds_unchanged(self):
-        ens = build_ensemble(CENTER, 3, PerturbSpec(), 0)
-        out = greedy_finetune(ens, self.validation_case(), 0, PerturbSpec(), 0)
+        ens = build_ensemble(CENTER, 3, SPEC, 0)
+        out = greedy_finetune(ens, self.validation_case(), 0, SPEC, 0)
         assert out is ens
 
     def test_good_ensemble_returned_unchanged(self):
         # zero-sigma ensemble: vote equals every member, so vote dice can
         # never fall below the member mean and round 1 stops immediately
-        ens = build_ensemble(CENTER, 3, PerturbSpec(relative_sigma=0.0), 0)
-        out = greedy_finetune(ens, self.validation_case(), 3, PerturbSpec(relative_sigma=0.0), 0)
+        ens = build_ensemble(CENTER, 3, replace(SPEC, relative_sigma=0.0), 0)
+        out = greedy_finetune(ens, self.validation_case(), 3, replace(SPEC, relative_sigma=0.0), 0)
         assert out.members == ens.members
 
     def test_dominant_member_becomes_center(self):
@@ -197,7 +200,7 @@ class TestGreedyFinetune:
         flood = CrfParams(6.0, 50.0, 6.0, 5.0, 50.0, 2)
         ens = CrfEnsemble(members=(flood, good, flood), center=flood, rng_seed=0)
         validation = self.validation_case()
-        out = greedy_finetune(ens, validation, 2, PerturbSpec(relative_sigma=0.01), seed=5)
+        out = greedy_finetune(ens, validation, 2, replace(SPEC, relative_sigma=0.01), seed=5)
         assert out.center == good
 
     def test_never_regresses(self):
@@ -210,12 +213,12 @@ class TestGreedyFinetune:
             )
 
         for seed in range(3):
-            ens = build_ensemble(CENTER, 3, PerturbSpec(relative_sigma=0.2), seed)
+            ens = build_ensemble(CENTER, 3, replace(SPEC, relative_sigma=0.2), seed)
             before = vote_dice(ens)
-            after = vote_dice(greedy_finetune(ens, validation, 2, PerturbSpec(), seed))
+            after = vote_dice(greedy_finetune(ens, validation, 2, SPEC, seed))
             assert after >= before - 1e-12
 
     def test_empty_validation_rejected(self):
-        ens = build_ensemble(CENTER, 3, PerturbSpec(), 0)
+        ens = build_ensemble(CENTER, 3, SPEC, 0)
         with pytest.raises(ValueError):
-            greedy_finetune(ens, [], 1, PerturbSpec(), 0)
+            greedy_finetune(ens, [], 1, SPEC, 0)
