@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +36,8 @@ class ALConfig:
     k_weak: int
     bins: int
     pseudo_start_iter: int
-    finetune: TrainConfig
-    base_train: TrainConfig
+    train: TrainConfig  # every fine-tuning round; base training differs only in its epochs
+    base_epochs: int
     loss_weights: LossWeights
     crf_center: CrfParams
     ensemble_size: int
@@ -60,6 +60,7 @@ class ALConfig:
             raise ValueError("query sizes must be nonnegative")
         if self.pseudo_start_iter < 1:
             raise ValueError("pseudo_start_iter counts from iteration 1")
+        replace(self.train, epochs=self.base_epochs)  # TrainConfig checks the base epochs
         if self.bins < 2:
             raise ValueError(f"need at least 2 histogram bins, got {self.bins}")
         if self.ensemble_size < 1 or self.ensemble_size % 2 == 0:
@@ -197,7 +198,7 @@ def run_iteration(
     new_state = move_to_labeled(state, split.strong_ids, strong_masks, "oracle")
     new_state = move_to_labeled(new_state, split.weak_ids, weak_masks, "pseudo")
     new_state = new_state.advance_iteration()
-    new_params = segmenter.train(params, _labeled_pairs(new_state), cfg.finetune, cfg.loss_weights)
+    new_params = segmenter.train(params, _labeled_pairs(new_state), cfg.train, cfg.loss_weights)
     phase3 = time.perf_counter() - t0
 
     test_dsc, test_pairs = evaluate(new_params, test_set)
@@ -242,8 +243,8 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
     state = PoolState(labeled=(), unlabeled=tuple(split.initial) + tuple(split.pool), iteration=0)
     state = move_to_labeled(state, [s.id for s in split.initial], initial_masks, "initial")
 
-    params = segmenter.init_params(cfg.seed)
-    params = segmenter.train(params, _labeled_pairs(state), cfg.base_train, cfg.loss_weights)
+    base_train = replace(cfg.train, epochs=cfg.base_epochs)
+    params = segmenter.train(segmenter.init_params(cfg.seed), _labeled_pairs(state), base_train, cfg.loss_weights)
     base_dsc, base_pairs = evaluate(params, split.test)
 
     ensemble: Optional[CrfEnsemble] = None

@@ -61,6 +61,9 @@ def _cmd_score(args) -> int:
 def _cmd_refine(args) -> int:
     image = image_from_pgm(args.image)
     prob = ProbMap(read_pgm(args.prob).astype(np.float64) / 255.0)
+    if prob.values.shape != image.values.shape:
+        (ph, pw), (ih, iw) = prob.values.shape, image.values.shape
+        raise ValueError(f"{args.prob}: the map is {pw}x{ph} but the image {args.image} is {iw}x{ih}")
     ensemble, _ = weaklabeler.load_ensemble(args.ensemble)
     mask = weaklabeler.refine(ensemble, image, prob)
     mask_to_pgm(args.out, mask)
@@ -68,7 +71,7 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _dice_cells(cells: list[str], header: list[str], columns: tuple[int, ...]) -> tuple[float, ...]:
+def _dice_cells(cells: list[str], header: list[str], columns: list[int]) -> tuple[float, ...]:
     """The Dice values of one pairs-CSV row, in ``columns`` order."""
     if len(cells) < len(header):
         raise ValueError(f"{len(cells)} cells, but the header has {len(header)}")
@@ -88,7 +91,11 @@ def _cmd_report(args) -> int:
     pairs = []
     with open(args.pairs, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        columns = header.index("mean_dsc"), header.index("r_dsc")
+        columns = []
+        for name in ("mean_dsc", "r_dsc"):
+            if name not in header:
+                raise ValueError(f"{args.pairs}: line 1: the header has no {name} column")
+            columns.append(header.index(name))
         for lineno, line in enumerate(fh, 2):
             try:
                 pairs.append(_dice_cells(line.strip().split(","), header, columns))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,15 +32,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .core import BinaryMask, ImageGrid, ProbMap
 
 UNARY_EPS = 1e-8
-
-_PARAM_KEYS = (
-    "gaussian.sdims",
-    "gaussian.compat",
-    "bilateral.sdims",
-    "bilateral.schan",
-    "bilateral.compat",
-    "steps",
-)
 
 
 @dataclass(frozen=True)
@@ -54,54 +46,26 @@ class CrfParams:
     steps: int
 
     def __post_init__(self):
-        for name in ("gaussian_sdims", "gaussian_compat", "bilateral_sdims", "bilateral_schan", "bilateral_compat"):
+        for name, kind in PARAM_TYPES.items():
             value = getattr(self, name)
+            if kind is not float:
+                continue
             # inf overflows the kernel radius; a nan compat would switch its kernel off (nan > 0.0 is false)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("gaussian_sdims", "bilateral_sdims", "bilateral_schan"):
-            if getattr(self, name) <= 0:
+            if name.endswith("_compat"):  # a zero weight switches its kernel off
+                if value < 0:
+                    raise ValueError(f"{name} must be nonnegative")
+            elif value <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("gaussian_compat", "bilateral_compat"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
-    def to_text(self) -> str:
-        """Flat key=value block used by config files and ensemble snapshots."""
-        values = (
-            self.gaussian_sdims,
-            self.gaussian_compat,
-            self.bilateral_sdims,
-            self.bilateral_schan,
-            self.bilateral_compat,
-            self.steps,
-        )
-        return "\n".join(f"{k}={v!r}" for k, v in zip(_PARAM_KEYS, values)) + "\n"
 
-    @staticmethod
-    def from_text(text: str) -> "CrfParams":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        missing = [k for k in _PARAM_KEYS if k not in fields]
-        if missing:
-            raise ValueError(f"CRF parameter block missing keys: {missing}")
-        return CrfParams(
-            gaussian_sdims=float(fields["gaussian.sdims"]),
-            gaussian_compat=float(fields["gaussian.compat"]),
-            bilateral_sdims=float(fields["bilateral.sdims"]),
-            bilateral_schan=float(fields["bilateral.schan"]),
-            bilateral_compat=float(fields["bilateral.compat"]),
-            steps=int(fields["steps"]),
-        )
+# every CrfParams field and its type, float or int, in declaration order
+PARAM_TYPES = typing.get_type_hints(CrfParams)
 
 
 # Published tuned centers for the two full-scale corpora this engine was

@@ -222,11 +222,11 @@ CONFIG_KEYS = (
     ConfigKey("al.pseudo_start_iter", int, 3, ("al.pseudo_start_iter",)),
     ConfigKey("al.strategy", str, "uncertainty", ("al.query_strategy",)),
     ConfigKey("al.target_dsc", float, None, ("al.target_dsc",)),
-    ConfigKey("train.base_epochs", int, 12, ("al.base_train.epochs",)),
-    ConfigKey("train.finetune_epochs", int, 6, ("al.finetune.epochs",)),
-    ConfigKey("train.learning_rate", float, 0.5, ("al.finetune.learning_rate", "al.base_train.learning_rate")),
-    ConfigKey("train.batch_size", int, 2, ("al.finetune.batch_size", "al.base_train.batch_size")),
-    ConfigKey("train.loss", str, "cross_entropy", ("al.finetune.loss_kind", "al.base_train.loss_kind")),
+    ConfigKey("train.base_epochs", int, 12, ("al.base_epochs",)),
+    ConfigKey("train.finetune_epochs", int, 6, ("al.train.epochs",)),
+    ConfigKey("train.learning_rate", float, 0.5, ("al.train.learning_rate",)),
+    ConfigKey("train.batch_size", int, 2, ("al.train.batch_size",)),
+    ConfigKey("train.loss", str, "cross_entropy", ("al.train.loss_kind",)),
     ConfigKey("loss.alpha_l", float, 0.1, ("al.loss_weights.alpha_l",)),
     ConfigKey("loss.alpha_m", float, 0.3, ("al.loss_weights.alpha_m",)),
     ConfigKey("loss.alpha_f", float, 0.6, ("al.loss_weights.alpha_f",)),
@@ -245,7 +245,7 @@ CONFIG_KEYS = (
     ConfigKey("ablation.confidence_filter", bool, True, ("al.confidence_filter",)),
     ConfigKey("ablation.ensemble_crf", bool, True, ("al.ensemble_crf",)),
     ConfigKey("baseline.random", bool, False, ("with_baseline",)),
-    ConfigKey("seed", int, 0, ("al.seed", "al.finetune.seed", "al.base_train.seed")),
+    ConfigKey("seed", int, 0, ("al.seed", "al.train.seed")),
     ConfigKey("output.dir", str, "out", ("output_dir",)),
 )
 _KEYS = {key.name: key for key in CONFIG_KEYS}
@@ -254,8 +254,7 @@ _SECTIONS = {
     "": ExperimentConfig,
     "dataset": SyntheticSpec,
     "al": ALConfig,
-    "al.finetune": TrainConfig,
-    "al.base_train": TrainConfig,
+    "al.train": TrainConfig,
     "al.loss_weights": LossWeights,
     "al.crf_center": CrfParams,
     "al.perturb": PerturbSpec,

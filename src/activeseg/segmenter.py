@@ -563,7 +563,7 @@ def total_loss(
     pred: MultiHeadPrediction,
     target: BinaryMask,
     w: LossWeights,
-    loss_kind: str = "cross_entropy",
+    loss_kind: str,
 ) -> float:
     """Weighted sum of the three per-head losses; each is the training loss
     (``_head_loss_grad_batch``) on a batch of this one sample."""
@@ -623,7 +623,7 @@ def backward(
     image: ImageGrid,
     target: BinaryMask,
     w: LossWeights,
-    loss_kind: str = "cross_entropy",
+    loss_kind: str,
 ) -> Dict[str, np.ndarray]:
     """Exact gradient of the weighted multi-head loss for one sample."""
     if loss_kind not in LOSS_KINDS:

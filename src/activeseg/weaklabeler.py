@@ -11,15 +11,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .core import BinaryMask, ImageGrid, ProbMap, dice
-from .crf import CrfParams, infer
-
-_CONTINUOUS_FIELDS = (
-    "gaussian_sdims",
-    "gaussian_compat",
-    "bilateral_sdims",
-    "bilateral_schan",
-    "bilateral_compat",
-)
+from .crf import PARAM_TYPES, CrfParams, infer
 
 
 @dataclass(frozen=True)
@@ -55,9 +47,10 @@ def perturb(center: CrfParams, spec: PerturbSpec, rng: np.random.Generator) -> C
     """One member: every continuous hyperparameter drawn from a sharp normal
     around its center value and floored to stay positive."""
     fields = {}
-    for name in _CONTINUOUS_FIELDS:
-        c = getattr(center, name)
-        fields[name] = max(spec.floor, float(rng.normal(c, spec.relative_sigma * c)))
+    for name, kind in PARAM_TYPES.items():
+        if kind is float:
+            c = getattr(center, name)
+            fields[name] = max(spec.floor, float(rng.normal(c, spec.relative_sigma * c)))
     steps = center.steps
     if spec.perturb_steps:
         steps = max(1, int(round(rng.normal(center.steps, spec.relative_sigma * center.steps))))
@@ -148,6 +141,11 @@ def greedy_finetune(
 _SNAPSHOT_MAGIC = "crf-ensemble v1"
 
 
+def _snapshot_key(field: str) -> str:
+    """The snapshot key of a CrfParams field: gaussian_sdims is gaussian.sdims."""
+    return field.replace("_", ".", 1)
+
+
 def save_ensemble(path: str, ensemble: CrfEnsemble, spec: PerturbSpec) -> None:
     lines = [
         _SNAPSHOT_MAGIC,
@@ -157,12 +155,11 @@ def save_ensemble(path: str, ensemble: CrfEnsemble, spec: PerturbSpec) -> None:
         f"relative_sigma={spec.relative_sigma!r}",
         f"floor={spec.floor!r}",
         f"perturb_steps={spec.perturb_steps}",
-        "[center]",
-        ensemble.center.to_text().rstrip("\n"),
     ]
-    for k, member in enumerate(ensemble.members):
-        lines.append(f"[member {k}]")
-        lines.append(member.to_text().rstrip("\n"))
+    sections = [("center", ensemble.center)] + [(f"member {k}", m) for k, m in enumerate(ensemble.members)]
+    for name, params in sections:
+        lines.append(f"[{name}]")
+        lines.extend(f"{_snapshot_key(field)}={getattr(params, field)!r}" for field in PARAM_TYPES)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -180,22 +177,20 @@ def load_ensemble(path: str) -> Tuple[CrfEnsemble, PerturbSpec]:
 def _parse_snapshot(lines: list[str]) -> Tuple[CrfEnsemble, PerturbSpec]:
     if not lines or lines[0] != _SNAPSHOT_MAGIC:
         raise ValueError("not an ensemble snapshot")
-    sections: dict[str, list[str]] = {"": []}
+    sections: dict[str, dict[str, str]] = {"": {}}
     current = ""
     for line in lines[1:]:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
-            sections[current] = []
-        else:
-            sections[current].append(line)
-
-    def section(name: str) -> list[str]:
-        if name not in sections:
-            raise ValueError(f"missing section [{name}]")
-        return sections[name]
+            sections[current] = {}
+        elif line.strip():
+            key, _, value = line.partition("=")
+            sections[current][key.strip()] = value.strip()
 
     def entry(name: str, key: str, parse):
-        fields = {k.strip(): v.strip() for k, _, v in (l.partition("=") for l in section(name) if l.strip())}
+        if name not in sections:
+            raise ValueError(f"missing section [{name}]")
+        fields = sections[name]
         where = f"section [{name}]" if name else "the header"
         if key not in fields:
             raise ValueError(f"missing key {key}= in {where}")
@@ -205,9 +200,9 @@ def _parse_snapshot(lines: list[str]) -> Tuple[CrfEnsemble, PerturbSpec]:
             raise ValueError(f"bad value {key}={fields[key]!r} in {where}") from None
 
     def params(name: str) -> CrfParams:
-        text = "\n".join(section(name))
+        values = {field: entry(name, _snapshot_key(field), kind) for field, kind in PARAM_TYPES.items()}
         try:
-            return CrfParams.from_text(text)
+            return CrfParams(**values)
         except ValueError as exc:
             raise ValueError(f"section [{name}]: {exc}") from None
 

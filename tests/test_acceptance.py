@@ -56,7 +56,7 @@ def loop_study():
             t0 = time.perf_counter()
             pairs = [(s.image, s.require_ground_truth()) for s in list(split.initial) + list(split.pool)]
             params = sg.train(
-                init_params(seed), pairs, replace(cfg.al.base_train, epochs=40), cfg.al.loss_weights
+                init_params(seed), pairs, replace(cfg.al.train, epochs=40), cfg.al.loss_weights
             )
             study["fullsup"][seed] = alloop.evaluate(params, split.test)[0]
             study["fullsup_seconds"][seed] = time.perf_counter() - t0
@@ -324,8 +324,8 @@ class TestCriterion12Determinism:
                     k_strong=4,
                     k_weak=2,
                     pseudo_start_iter=2,
-                    finetune=replace(cfg.al.finetune, epochs=2),
-                    base_train=replace(cfg.al.base_train, epochs=3),
+                    train=replace(cfg.al.train, epochs=2),
+                    base_epochs=3,
                     ensemble_size=3,
                     ensemble_rounds=1,
                 ),

@@ -27,8 +27,8 @@ def tiny_config(**overrides) -> ALConfig:
         k_weak=2,
         bins=5,
         pseudo_start_iter=2,
-        finetune=train,
-        base_train=train,
+        train=train,
+        base_epochs=1,
         crf_center=CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1),
         ensemble_size=3,
         ensemble_rounds=1,

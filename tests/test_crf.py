@@ -13,7 +13,7 @@ from activeseg import crf as crf_module
 from activeseg.core import BinaryMask, ImageGrid, ProbMap, binarize, dice
 from activeseg.crf import BONE_AGE_CENTER, SKIN_LESION_CENTER, CrfParams, infer, unary_from_prob
 from activeseg.harness import default_experiment
-from activeseg.weaklabeler import build_ensemble
+from activeseg.weaklabeler import CrfEnsemble, PerturbSpec, build_ensemble, load_ensemble, save_ensemble
 from oracles import exact_infer, gibbs_energy, initial_field, meanfield_step, windowed_step
 
 DEFAULT_AL = default_experiment().al
@@ -75,9 +75,11 @@ class TestParams:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CrfParams(*args)
 
-    def test_text_roundtrip(self):
+    def test_text_roundtrip(self, tmp_path):
         p = CrfParams(29.93, 9.06, 28.19, 5.59, 9.46, 2)
-        assert CrfParams.from_text(p.to_text()) == p
+        path = str(tmp_path / "ens.txt")
+        save_ensemble(path, CrfEnsemble(members=(p,), center=p, rng_seed=0), PerturbSpec(0.05, 1e-3, False))
+        assert load_ensemble(path)[0].members == (p,)
 
     def test_published_centers(self):
         assert SKIN_LESION_CENTER.steps == 2

@@ -111,8 +111,8 @@ def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
         k_weak=2,
         bins=5,
         pseudo_start_iter=1,
-        finetune=train,
-        base_train=train,
+        train=train,
+        base_epochs=1,
         crf_center=CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1),
         ensemble_size=3,
         ensemble_rounds=1,
@@ -161,7 +161,7 @@ class TestConfigRoundtrip:
     def test_with_keys_fans_seed_out_and_skips_none(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
         new = with_keys(cfg, {"seed": 9, "output.dir": None})
-        assert new.al.seed == new.al.finetune.seed == new.al.base_train.seed == 9
+        assert new.al.seed == new.al.train.seed == 9
         assert (new.dataset, new.output_dir) == (cfg.dataset, cfg.output_dir)
         assert with_keys(new, {"seed": 0}) == cfg
 
@@ -380,6 +380,14 @@ class TestCli:
         argv = ["report", "--pairs", pairs_path, "--out", str(tmp_path / "rep")]
         self.one_line_error(capsys, argv, pairs_path, text)
 
+    @pytest.mark.parametrize("header, column", [("a,b", "mean_dsc"), ("iteration,sample_id,mean_dsc", "r_dsc")])
+    def test_report_header_without_a_column_is_one_line_error(self, tmp_path, capsys, header, column):
+        pairs_path = str(tmp_path / "pairs.csv")
+        with open(pairs_path, "w") as fh:
+            fh.write(header + "\n" + "".join(f"0,s{i},{i / 20},{i / 30}\n" for i in range(12)))
+        argv = ["report", "--pairs", pairs_path, "--out", str(tmp_path / "rep")]
+        self.one_line_error(capsys, argv, pairs_path, f"line 1: the header has no {column} column")
+
     def test_diverging_run_is_one_line_error_naming_the_key(self, tmp_path):
         cfg_path = str(tmp_path / "exp.cfg")
         with open(cfg_path, "w") as fh:
@@ -429,6 +437,8 @@ class TestCli:
         "ensemble.rounds=-1",
         "al.target_dsc=nan",
         "al.target_dsc=1.5",
+        "train.base_epochs=-1",
+        "train.finetune_epochs=-1",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")
@@ -516,22 +526,47 @@ class TestCli:
             fh.write("\n".join(l for l in lines if l != drop) + "\n")
         self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["ensemble"], text)
 
+    @staticmethod
+    def set_snapshot_entry(path, section, key, value):
+        """Rewrite ``key`` in ``[section]`` of a snapshot to ``value``, or drop it for None."""
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        start = lines.index(f"[{section}]")
+        row = next(i for i in range(start + 1, len(lines)) if lines[i].startswith(f"{key}="))
+        if value is None:
+            del lines[row]
+        else:
+            lines[row] = f"{key}={value}"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize("section, key, value", [
         ("center", "gaussian.sdims", "inf"),
         ("member 1", "bilateral.compat", "nan"),
     ])
     def test_non_finite_snapshot_value_is_one_line_error(self, tmp_path, capsys, section, key, value):
         paths = self.refine_inputs(tmp_path)
-        with open(paths["ensemble"]) as fh:
-            lines = fh.read().splitlines()
-        start = lines.index(f"[{section}]")
-        row = next(i for i in range(start + 1, len(lines)) if lines[i].startswith(f"{key}="))
-        lines[row] = f"{key}={value}"
-        with open(paths["ensemble"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        self.set_snapshot_entry(paths["ensemble"], section, key, value)
         field = key.replace(".", "_")
         self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["ensemble"],
                             f"section [{section}]: {field} must be finite, got {value}")
+
+    @pytest.mark.parametrize("section, key, value, text", [
+        ("member 1", "steps", None, "missing key steps= in section [member 1]"),
+        ("center", "steps", "1.5", "bad value steps='1.5' in section [center]"),
+    ])
+    def test_bad_crf_snapshot_entry_is_one_line_error(self, tmp_path, capsys, section, key, value, text):
+        paths = self.refine_inputs(tmp_path)
+        self.set_snapshot_entry(paths["ensemble"], section, key, value)
+        self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["ensemble"], text)
+
+    def test_refine_size_mismatch_names_both_files(self, tmp_path, capsys):
+        from activeseg.core import write_pgm
+
+        paths = self.refine_inputs(tmp_path)
+        write_pgm(paths["prob"], np.full((12, 8), 128, dtype=np.uint8))
+        self.one_line_error(capsys, self.refine_argv(paths, tmp_path), paths["prob"],
+                            f"the map is 8x12 but the image {paths['image']} is 8x8")
 
     @pytest.mark.parametrize("which", ["image", "prob"])
     @pytest.mark.parametrize("cut, text", [

@@ -140,7 +140,7 @@ class TestLosses:
         half = ProbMap(np.full((4, 4), 0.5))
         pred = sg.MultiHeadPrediction(half, half, half)
         t = BinaryMask(np.eye(4, dtype=int))
-        assert total_loss(pred, t, W) == pytest.approx(math.log(2), rel=1e-12)
+        assert total_loss(pred, t, W, "cross_entropy") == pytest.approx(math.log(2), rel=1e-12)
 
     def test_total_loss_single_head(self):
         rng = np.random.default_rng(1)
@@ -148,7 +148,7 @@ class TestLosses:
         pred = sg.MultiHeadPrediction(*maps)
         t = BinaryMask((rng.uniform(size=(4, 4)) > 0.5).astype(int))
         w = LossWeights(alpha_l=0.0, alpha_m=0.0, alpha_f=1.0)
-        assert total_loss(pred, t, w) == pytest.approx(head_loss(maps[2], t), rel=1e-12)
+        assert total_loss(pred, t, w, "cross_entropy") == pytest.approx(head_loss(maps[2], t), rel=1e-12)
 
     def test_total_loss_matches_scalar_recomputation(self):
         # independently recombine the three per-head losses
@@ -166,7 +166,7 @@ class TestLosses:
                     acc += -(tv * math.log(pv) + (1 - tv) * math.log(1 - pv))
             per_head.append(acc / 64)
         expected = 0.1 * per_head[0] + 0.3 * per_head[1] + 0.6 * per_head[2]
-        assert total_loss(pred, t, W) == pytest.approx(expected, rel=1e-12)
+        assert total_loss(pred, t, W, "cross_entropy") == pytest.approx(expected, rel=1e-12)
 
     def test_total_loss_between_head_losses(self):
         rng = np.random.default_rng(14)
@@ -174,7 +174,7 @@ class TestLosses:
         pred = sg.MultiHeadPrediction(*maps)
         t = BinaryMask((rng.uniform(size=(8, 8)) > 0.5).astype(int))
         losses = [head_loss(m, t) for m in maps]
-        v = total_loss(pred, t, W)
+        v = total_loss(pred, t, W, "cross_entropy")
         assert min(losses) <= v <= max(losses)
 
     @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
@@ -250,8 +250,8 @@ class TestBackward:
     def test_deterministic(self):
         params = init_params(4)
         img, tgt = random_instance(16, seed=3)
-        a = backward(params, img, tgt, W)
-        b = backward(params, img, tgt, W)
+        a = backward(params, img, tgt, W, "cross_entropy")
+        b = backward(params, img, tgt, W, "cross_entropy")
         for name in PARAM_SHAPES:
             np.testing.assert_array_equal(a[name], b[name])
 
@@ -268,9 +268,9 @@ class TestTrain:
         pair = self.make_pair()
         params = init_params(0)
         cfg = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=1, loss_kind="cross_entropy", seed=0)
-        before = total_loss(forward(params, pair[0]), pair[1], W)
+        before = total_loss(forward(params, pair[0]), pair[1], W, "cross_entropy")
         after_params = train(params, [pair], cfg, W)
-        after = total_loss(forward(after_params, pair[0]), pair[1], W)
+        after = total_loss(forward(after_params, pair[0]), pair[1], W, "cross_entropy")
         assert after < before
 
     def test_zero_epochs_is_identity(self):
@@ -441,7 +441,8 @@ class TestConvWorkspace:
             assert loss == ref_loss
             assert_same_bytes(grads, ref_grads)
         if dtype is np.float64:
-            ref_grads = backward(params, ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int)), W)
+            image, target = ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int))
+            ref_grads = backward(params, image, target, W, "cross_entropy")
             assert_same_bytes(grads, ref_grads)
 
 

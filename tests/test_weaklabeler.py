@@ -5,6 +5,7 @@ import pytest
 
 from activeseg.core import BinaryMask, ImageGrid, ProbMap, binarize, dice
 from activeseg.crf import CrfParams, infer
+from activeseg.harness import CONFIG_KEYS
 from activeseg.weaklabeler import (
     CrfEnsemble,
     PerturbSpec,
@@ -65,6 +66,13 @@ class TestPerturb:
         rng = np.random.default_rng(2)
         assert all(perturb(CENTER, SPEC, rng).steps == CENTER.steps for _ in range(20))
 
+    def test_perturbed_steps_are_seeded_positive_integers(self):
+        spec = replace(SPEC, relative_sigma=0.4, perturb_steps=True)
+        draws = [perturb(CENTER, spec, np.random.default_rng(seed)) for seed in range(40)]
+        assert all(type(m.steps) is int and m.steps >= 1 for m in draws)
+        assert len({m.steps for m in draws}) > 1
+        assert draws == [perturb(CENTER, spec, np.random.default_rng(seed)) for seed in range(40)]
+
     def test_sigma_bound(self):
         with pytest.raises(ValueError):
             replace(SPEC, relative_sigma=0.5)
@@ -93,6 +101,65 @@ class TestEnsemble:
         loaded, spec = load_ensemble(path)
         assert loaded == ens
         assert spec == SPEC
+
+    def test_snapshot_keeps_perturbed_steps(self, tmp_path):
+        spec = replace(SPEC, relative_sigma=0.4, perturb_steps=True)
+        ens = build_ensemble(CENTER, 7, spec, 3)
+        assert {m.steps for m in ens.members} != {CENTER.steps}
+        path = str(tmp_path / "ens.txt")
+        save_ensemble(path, ens, spec)
+        assert load_ensemble(path) == (ens, spec)
+
+
+class TestSnapshotFormat:
+    def test_text_is_pinned(self, tmp_path):
+        path = tmp_path / "ens.txt"
+        save_ensemble(str(path), build_ensemble(CENTER, 3, SPEC, 0), SPEC)
+        assert path.read_text(encoding="ascii") == SNAPSHOT
+
+    def test_crf_keys_are_the_config_keys(self):
+        center = SNAPSHOT.split("[center]\n")[1].split("[")[0]
+        keys = [line.partition("=")[0] for line in center.splitlines()]
+        assert keys == [key.name.removeprefix("crf.") for key in CONFIG_KEYS if key.name.startswith("crf.")]
+
+
+SNAPSHOT = """\
+crf-ensemble v1
+seed=0
+members=3
+[perturb]
+relative_sigma=0.05
+floor=0.001
+perturb_steps=False
+[center]
+gaussian.sdims=1.5
+gaussian.compat=0.4
+bilateral.sdims=2.5
+bilateral.schan=0.15
+bilateral.compat=0.6
+steps=2
+[member 0]
+gaussian.sdims=1.6082768216023595
+gaussian.compat=0.3820810804722852
+bilateral.sdims=2.5919944587721298
+bilateral.schan=0.1500440778030382
+bilateral.compat=0.6256014536917858
+steps=2
+[member 1]
+gaussian.sdims=1.5603817104280677
+gaussian.compat=0.3617588156501923
+bilateral.sdims=2.0629188439477533
+bilateral.schan=0.15700334768444174
+bilateral.compat=0.6388090292031872
+steps=2
+[member 2]
+gaussian.sdims=1.5706574252833203
+gaussian.compat=0.38603014959083676
+bilateral.sdims=2.6985632170026816
+bilateral.schan=0.15717044156601226
+bilateral.compat=0.5429342412808058
+steps=2
+"""
 
 
 class TestMajorityVote:
