@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import segmenter, selection, weaklabeler
-from .core import BinaryMask, ImageGrid, PoolState, ProbMap, Sample, binarize, dice, move_to_labeled
+from .core import BinaryMask, ImageGrid, PoolState, ProbMap, Sample, binarize, check_seed, dice, move_to_labeled
 from .crf import CrfParams
 from .segmenter import LossWeights, SegmenterParams, TrainConfig
 from .selection import QuerySplit, SampleScores
@@ -67,6 +67,7 @@ class ALConfig:
             raise ValueError(f"ensemble size must be odd and >= 1, got {self.ensemble_size}")
         if self.query_strategy not in QUERY_STRATEGIES:
             raise ValueError(f"query_strategy must be one of {QUERY_STRATEGIES}")
+        check_seed(self.seed)
         if self.ensemble_rounds < 0:
             raise ValueError(f"ensemble rounds must be nonnegative, got {self.ensemble_rounds}")
         if self.target_dsc is not None and not (

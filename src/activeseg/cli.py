@@ -89,18 +89,21 @@ def _dice_cells(cells: list[str], header: list[str], columns: list[int]) -> tupl
 
 def _cmd_report(args) -> int:
     pairs = []
-    with open(args.pairs, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        columns = []
-        for name in ("mean_dsc", "r_dsc"):
-            if name not in header:
-                raise ValueError(f"{args.pairs}: line 1: the header has no {name} column")
-            columns.append(header.index(name))
-        for lineno, line in enumerate(fh, 2):
-            try:
-                pairs.append(_dice_cells(line.strip().split(","), header, columns))
-            except ValueError as exc:
-                raise ValueError(f"{args.pairs}: line {lineno}: {exc}") from None
+    try:
+        with open(args.pairs, "r", encoding="ascii") as fh:
+            header = fh.readline().strip().split(",")
+            columns = []
+            for name in ("mean_dsc", "r_dsc"):
+                if name not in header:
+                    raise ValueError(f"{args.pairs}: line 1: the header has no {name} column")
+                columns.append(header.index(name))
+            for lineno, line in enumerate(fh, 2):
+                try:
+                    pairs.append(_dice_cells(line.strip().split(","), header, columns))
+                except ValueError as exc:
+                    raise ValueError(f"{args.pairs}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{args.pairs}: not an ASCII text file") from None
     os.makedirs(args.out, exist_ok=True)
     coeff = harness.report_correlation(pairs, os.path.join(args.out, "correlation_ranks.csv"))
     with open(os.path.join(args.out, "correlation_summary.csv"), "w", encoding="ascii", newline="\n") as fh:

@@ -7,6 +7,7 @@ construction so they can be shared freely across workers.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
@@ -20,6 +21,13 @@ def _frozen(values: np.ndarray, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def check_seed(seed) -> None:
+    """Reject what numpy cannot seed a generator with: anything but an
+    integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +148,6 @@ class PoolState:
         if self.iteration < 0:
             raise ValueError("iteration counter must be nonnegative")
 
-    def labeled_ids(self) -> set[str]:
-        return {e.sample.id for e in self.labeled}
-
     def unlabeled_ids(self) -> set[str]:
         return {s.id for s in self.unlabeled}
 
@@ -217,10 +222,6 @@ def pad_to_multiple(values: np.ndarray, multiple: int) -> tuple[np.ndarray, tupl
     if ph == 0 and pw == 0:
         return values, (h, w)
     return np.pad(values, ((0, ph), (0, pw)), mode="edge"), (h, w)
-
-
-def crop_to(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    return values[: shape[0], : shape[1]]
 
 
 # ---------------------------------------------------------------------------

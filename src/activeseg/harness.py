@@ -16,7 +16,7 @@ import numpy as np
 
 from . import alloop, selection
 from .alloop import ALConfig, DatasetSplit, RunResult
-from .core import BinaryMask, ImageGrid, Sample, load_dataset, save_dataset
+from .core import BinaryMask, ImageGrid, Sample, check_seed, load_dataset, save_dataset
 from .crf import CrfParams
 from .segmenter import LossWeights, TrainConfig, TrainingDiverged
 from .selection import fmt, rank_correlation, write_scores_csv
@@ -53,6 +53,7 @@ class SyntheticSpec:
             raise ValueError("noise_level must be nonnegative")
         if not 0.0 <= self.occlusion_prob <= 1.0:
             raise ValueError("occlusion_prob must lie in [0, 1]")
+        check_seed(self.seed)
 
 
 def _draw_mask(rng: np.random.Generator, grid: np.ndarray, shape: str) -> np.ndarray:
@@ -333,8 +334,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a UTF-8 text file") from None
+    return parse_config_text(text)
 
 
 def _read(cfg: ExperimentConfig, path: str):

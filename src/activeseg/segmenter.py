@@ -6,7 +6,8 @@ nearest-neighbor interpolation.  Forward, loss, and backward passes are
 plain numpy so every gradient is analytic and checkable against finite
 differences.
 
-Architecture (input H x W, both divisible by 4):
+Architecture (input H x W, both divisible by 4; ``predict`` edge-pads any
+other size):
 
     enc1:  conv3x3  1 ->  8, ReLU                 H   x W
     pool1: maxpool 2x2                            H/2 x W/2
@@ -22,7 +23,7 @@ size), middle on dec1 (NN x2), final on dec2.
 Passes run on a plan of preallocated buffers (``_ForwardPlan``,
 ``_StepPlan``) with the 3x3 kernels in their (9*C, O) gemm layout.  ``train``
 builds one step plan per call and runs every step as a fixed sequence of
-gemms and ``out=`` numpy calls on it; ``forward`` and ``backward`` build a
+gemms and ``out=`` numpy calls on it; ``predict`` and ``backward`` build a
 plan per call.  Every float equals that of the allocating reference loop in
 ``tests/oracles.py``.
 """
@@ -37,7 +38,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BinaryMask, ImageGrid, ProbMap, crop_to, pad_to_multiple
+from .core import BinaryMask, ImageGrid, ProbMap, check_seed, pad_to_multiple
 
 EPS = 1e-8
 LOSS_KINDS = ("cross_entropy", "soft_dice")
@@ -148,6 +149,7 @@ class TrainConfig:
             raise ValueError("learning rate and batch size must be positive")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
+        check_seed(self.seed)
 
 
 def init_params(seed: int) -> SegmenterParams:
@@ -502,77 +504,20 @@ class _StepPlan(_ForwardPlan):
 
 
 # ---------------------------------------------------------------------------
-# forward
+# inference and loss
 # ---------------------------------------------------------------------------
-
-
-def forward(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
-    """Three probability maps at input resolution for one image."""
-    h, w = image.height, image.width
-    if h % 4 != 0 or w % 4 != 0:
-        raise ValueError(
-            f"image dimensions must be divisible by 4, got {h}x{w}; pad the input "
-            "(see predict) and crop the outputs back"
-        )
-    plan = _ForwardPlan.allocate(1, h, w, np.float64)
-    plan.x[0, :, :, 0] = image.values
-    lower, middle, final = plan.forward(_param_views(_gemm_params(params.tensors, np.float64)))
-    return MultiHeadPrediction(
-        lower=ProbMap(lower[0, :, :, 0]),
-        middle=ProbMap(middle[0, :, :, 0]),
-        final=ProbMap(final[0, :, :, 0]),
-    )
 
 
 def predict(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
-    """forward with edge-replication padding to multiples of 4 and crop-back."""
-    padded, orig = pad_to_multiple(image.values, 4)
-    if padded.shape == image.values.shape:
-        return forward(params, image)
-    pred = forward(params, ImageGrid(padded))
-    return MultiHeadPrediction(
-        lower=ProbMap(crop_to(pred.lower.values, orig)),
-        middle=ProbMap(crop_to(pred.middle.values, orig)),
-        final=ProbMap(crop_to(pred.final.values, orig)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-
-def _one_sample(p: ProbMap, target: BinaryMask) -> Tuple[np.ndarray, np.ndarray]:
-    """(p, target) as a training batch of one sample."""
-    if p.values.shape != target.values.shape:
-        raise ValueError(f"shape mismatch: {p.values.shape} vs {target.values.shape}")
-    return p.values[None, :, :, None], target.values.astype(np.float64)[None, :, :, None]
-
-
-def head_loss(p: ProbMap, target: BinaryMask) -> float:
-    """Binary cross-entropy, mean over pixels, probabilities clamped to [eps, 1-eps]."""
-    return _head_loss_grad_batch(*_one_sample(p, target), "cross_entropy")[0]
-
-
-def soft_dice_loss(p: ProbMap, target: BinaryMask) -> float:
-    """1 - (2 sum(p t) + s) / (sum p + sum t + s), smoothing s = 1."""
-    return _head_loss_grad_batch(*_one_sample(p, target), "soft_dice")[0]
-
-
-def total_loss(
-    pred: MultiHeadPrediction,
-    target: BinaryMask,
-    w: LossWeights,
-    loss_kind: str,
-) -> float:
-    """Weighted sum of the three per-head losses; each is the training loss
-    (``_head_loss_grad_batch``) on a batch of this one sample."""
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-    lower, middle, final = (
-        _head_loss_grad_batch(*_one_sample(m, target), loss_kind)[0] for m in (pred.lower, pred.middle, pred.final)
-    )
-    return w.alpha_l * lower + w.alpha_m * middle + w.alpha_f * final
+    """Three probability maps at input resolution for one image of any size:
+    one forward pass over the image edge-padded to multiples of 4, cropped
+    back."""
+    padded, (h, w) = pad_to_multiple(image.values, 4)
+    plan = _ForwardPlan.allocate(1, padded.shape[0], padded.shape[1], np.float64)
+    plan.x[0, :, :, 0] = padded
+    maps = plan.forward(_param_views(_gemm_params(params.tensors, np.float64)))
+    lower, middle, final = (ProbMap(m[0, :h, :w, 0]) for m in maps)
+    return MultiHeadPrediction(lower=lower, middle=middle, final=final)
 
 
 def _head_loss_grad_batch(p: np.ndarray, t: np.ndarray, loss_kind: str) -> Tuple[float, np.ndarray]:
@@ -624,8 +569,9 @@ def backward(
     target: BinaryMask,
     w: LossWeights,
     loss_kind: str,
-) -> Dict[str, np.ndarray]:
-    """Exact gradient of the weighted multi-head loss for one sample."""
+) -> Tuple[float, Dict[str, np.ndarray]]:
+    """The weighted multi-head loss of one sample, the loss that training
+    descends, and its exact gradient for every parameter."""
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
     h, wdt = image.height, image.width
@@ -635,8 +581,7 @@ def backward(
         raise ValueError("target dimensions must match the image")
     x = image.values[None, :, :, None]
     t = target.values.astype(np.float64)[None, :, :, None]
-    _, grads = _loss_and_grads_batch(params.tensors, x, t, w, loss_kind)
-    return grads
+    return _loss_and_grads_batch(params.tensors, x, t, w, loss_kind)
 
 
 def train(

@@ -170,6 +170,8 @@ def load_ensemble(path: str) -> Tuple[CrfEnsemble, PerturbSpec]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return _parse_snapshot(fh.read().splitlines())
+    except UnicodeDecodeError:  # binary data, which no magic line matches either
+        raise ValueError(f"{path}: not an ensemble snapshot") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -79,7 +79,7 @@ class TestCriterion1Gradients:
         img = ImageGrid(rng.uniform(0, 1, (16, 16)))
         tgt = BinaryMask((rng.uniform(0, 1, (16, 16)) > 0.5).astype(int))
         w = default_experiment().al.loss_weights
-        grads = sg.backward(params, img, tgt, w, loss_kind)
+        _, grads = sg.backward(params, img, tgt, w, loss_kind)
 
         x = img.values[None, :, :, None]
         t = tgt.values.astype(float)[None, :, :, None]

@@ -439,6 +439,8 @@ class TestCli:
         "al.target_dsc=1.5",
         "train.base_epochs=-1",
         "train.finetune_epochs=-1",
+        "seed=-1",
+        "dataset.seed=-1",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")
@@ -452,6 +454,29 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: ")
         assert line.partition("=")[0] in err
+
+    def test_negative_generate_seed_is_one_line_error(self, tmp_path, capsys):
+        assert cli.main(["generate", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not os.path.exists(tmp_path / "data")
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", "not a UTF-8 text file"),
+        ("report", "not an ASCII text file"),
+        ("refine", "not an ensemble snapshot"),
+    ])
+    def test_undecodable_text_input_names_its_file(self, tmp_path, capsys, command, text):
+        from activeseg.segmenter import init_params, save_params
+
+        ckpt = str(tmp_path / "ck.bin")
+        save_params(ckpt, init_params(0))  # a binary file where text belongs
+        if command == "run":
+            argv = ["run", "--config", ckpt]
+        elif command == "report":
+            argv = ["report", "--pairs", ckpt, "--out", str(tmp_path / "rep")]
+        else:
+            argv = self.refine_argv({**self.refine_inputs(tmp_path), "ensemble": ckpt}, tmp_path)
+        self.one_line_error(capsys, argv, ckpt, text)
 
     @pytest.mark.parametrize("sizes, bad, text", [
         ([30] * 24, "s000", "30x30; training needs sides divisible by 4"),
@@ -623,14 +648,32 @@ class TestCli:
             assert (tmp_path / "cli" / path).read_bytes() == (tmp_path / "lib" / path).read_bytes(), path
 
 
+def load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py, imported as the benchmark imports it."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_wrapped_names_resolve(monkeypatch):
     """perfbench wraps library functions by name, so a rename must fail here
     rather than abort a benchmark run."""
-    spec = importlib.util.spec_from_file_location("spans", os.path.join(ROOT, "perfbench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "spans", spans)
-    spec.loader.exec_module(spans)
+    spans = load_perfbench(monkeypatch, "spans")
     assert len(spans.resolve(spans.BOUNDARIES)) == len(spans.BOUNDARIES)
     assert callable(activeseg.dice)
     for name in ("default_experiment", "echo_config", "parse_config_text", "run_experiment"):
         assert callable(getattr(harness, name))
+
+
+@pytest.mark.parametrize("seed", [0, 39])
+def test_benchmark_workload_configs_parse(monkeypatch, tmp_path, seed):
+    """Each perfbench workload config passes the library's config checks, so
+    a renamed key or a new check fails here rather than in a benchmark run."""
+    workloads = load_perfbench(monkeypatch, "workloads")
+    base = harness.echo_config(harness.default_experiment(seed=seed))
+    assert len(workloads.WORKLOADS) == 3
+    for name in workloads.WORKLOADS:
+        text = workloads.config_text(base, name, str(tmp_path / name), {})
+        assert harness.parse_config_text(text).output_dir == str(tmp_path / name)

@@ -7,21 +7,17 @@ import oracles
 import pytest
 
 from activeseg import segmenter as sg
-from activeseg.core import BinaryMask, ImageGrid, ProbMap
+from activeseg.core import BinaryMask, ImageGrid, ProbMap, pad_to_multiple
 from activeseg.segmenter import (
     PARAM_SHAPES,
     LossWeights,
     SegmenterParams,
     TrainConfig,
     backward,
-    forward,
-    head_loss,
     init_params,
     load_params,
     predict,
     save_params,
-    soft_dice_loss,
-    total_loss,
     train,
 )
 
@@ -34,6 +30,18 @@ def random_instance(size=16, seed=0):
     img = ImageGrid(rng.uniform(0, 1, (size, size)))
     tgt = BinaryMask((rng.uniform(0, 1, (size, size)) > 0.5).astype(int))
     return img, tgt
+
+
+def head_loss(p: ProbMap, target: BinaryMask, loss_kind: str = "cross_entropy") -> float:
+    """The training loss kernel on (p, target) as a batch of one sample."""
+    batch = p.values[None, :, :, None], target.values.astype(np.float64)[None, :, :, None]
+    return sg._head_loss_grad_batch(*batch, loss_kind)[0]
+
+
+def total_loss(pred: sg.MultiHeadPrediction, target: BinaryMask, w: LossWeights, loss_kind: str) -> float:
+    """The three head losses weighted as a training step weights them."""
+    lower, middle, final = (head_loss(m, target, loss_kind) for m in (pred.lower, pred.middle, pred.final))
+    return w.alpha_l * lower + w.alpha_m * middle + w.alpha_f * final
 
 
 def kink_free_params(seed=42, bias=0.3):
@@ -68,7 +76,7 @@ class TestInit:
 class TestForward:
     def test_shapes_and_range(self):
         img, _ = random_instance(16)
-        pred = forward(init_params(0), img)
+        pred = predict(init_params(0), img)
         for head in (pred.lower, pred.middle, pred.final):
             assert head.values.shape == (16, 16)
             assert np.all((head.values > 0) & (head.values < 1))
@@ -76,26 +84,32 @@ class TestForward:
     def test_zero_input_zero_heads_is_half(self):
         p = init_params(3)
         tensors = {k: (np.zeros_like(v) if k.startswith("head") else v) for k, v in p.tensors.items()}
-        pred = forward(SegmenterParams(tensors), ImageGrid(np.zeros((8, 8))))
+        pred = predict(SegmenterParams(tensors), ImageGrid(np.zeros((8, 8))))
         for head in (pred.lower, pred.middle, pred.final):
             np.testing.assert_array_equal(head.values, np.full((8, 8), 0.5))
 
     def test_deterministic(self):
         img, _ = random_instance(16, seed=5)
         p = init_params(11)
-        a, b = forward(p, img), forward(p, img)
+        a, b = predict(p, img), predict(p, img)
         np.testing.assert_array_equal(a.final.values, b.final.values)
         np.testing.assert_array_equal(a.lower.values, b.lower.values)
-
-    def test_rejects_unaligned_dims(self):
-        with pytest.raises(ValueError, match="divisible by 4"):
-            forward(init_params(0), ImageGrid(np.zeros((10, 16))))
 
     def test_predict_pads_and_crops(self):
         rng = np.random.default_rng(2)
         img = ImageGrid(rng.uniform(0, 1, (10, 13)))
         pred = predict(init_params(0), img)
         assert pred.final.values.shape == (10, 13)
+        # each map is the crop of the maps of the edge-padded image
+        for shape in ((10, 13), (30, 29)):
+            img = ImageGrid(rng.uniform(0, 1, shape))
+            padded, (h, w) = pad_to_multiple(img.values, 4)
+            assert padded.shape != shape
+            pred, full = predict(init_params(0), img), predict(init_params(0), ImageGrid(padded))
+            for head in ("lower", "middle", "final"):
+                got, whole = getattr(pred, head).values, getattr(full, head).values
+                assert got.shape == shape
+                assert got.tobytes() == whole[:h, :w].tobytes(), head
 
 
 class TestLosses:
@@ -116,13 +130,13 @@ class TestLosses:
 
     def test_soft_dice_perfect_is_zero(self):
         t = BinaryMask((np.arange(16).reshape(4, 4) % 3 == 0).astype(int))
-        assert soft_dice_loss(ProbMap(t.values.astype(float)), t) == 0.0
+        assert head_loss(ProbMap(t.values.astype(float)), t, "soft_dice") == 0.0
 
     def test_soft_dice_total_miss(self):
         n = 36
         p = ProbMap(np.ones((6, 6)))
         t = BinaryMask(np.zeros((6, 6), dtype=int))
-        assert soft_dice_loss(p, t) == pytest.approx(1 - 1 / (n + 1), rel=1e-12)
+        assert head_loss(p, t, "soft_dice") == pytest.approx(1 - 1 / (n + 1), rel=1e-12)
 
     def test_soft_dice_matches_scalar_recomputation(self):
         rng = np.random.default_rng(8)
@@ -134,7 +148,7 @@ class TestLosses:
                 num += p.values[i, j] * t.values[i, j]
                 den += p.values[i, j] + t.values[i, j]
         expected = 1 - (2 * num + 1.0) / (den + 1.0)
-        assert soft_dice_loss(p, t) == pytest.approx(expected, rel=1e-12)
+        assert head_loss(p, t, "soft_dice") == pytest.approx(expected, rel=1e-12)
 
     def test_total_loss_at_half_is_ln2(self):
         half = ProbMap(np.full((4, 4), 0.5))
@@ -185,7 +199,8 @@ class TestLosses:
         x = img.values[None, :, :, None]
         t = tgt.values.astype(np.float64)[None, :, :, None]
         trained_on = sg._loss_and_grads_batch(params.tensors, x, t, w, loss_kind)[0]
-        assert total_loss(forward(params, img), tgt, w, loss_kind) == trained_on
+        assert total_loss(predict(params, img), tgt, w, loss_kind) == trained_on
+        assert backward(params, img, tgt, w, loss_kind)[0] == trained_on
 
     def test_float32_clamp_is_finite_and_flat_at_the_ends(self):
         # float32 cannot hold 1 - 1e-8, so the clamp widens to stay below 1
@@ -216,7 +231,7 @@ class TestBackward:
         params = kink_free_params()
         img, tgt = random_instance(16, seed=0)
         w = W
-        grads = backward(params, img, tgt, w, loss_kind)
+        _, grads = backward(params, img, tgt, w, loss_kind)
         x = img.values[None, :, :, None]
         t = tgt.values.astype(float)[None, :, :, None]
         h = 1e-4
@@ -240,7 +255,7 @@ class TestBackward:
         params = init_params(1)
         img, tgt = random_instance(16, seed=2)
         w = LossWeights(alpha_l=0.0, alpha_m=0.0, alpha_f=1.0)
-        grads = backward(params, img, tgt, w, "cross_entropy")
+        _, grads = backward(params, img, tgt, w, "cross_entropy")
         assert not grads["head_lower.kernel"].any()
         assert not grads["head_lower.bias"].any()
         assert not grads["head_middle.kernel"].any()
@@ -250,8 +265,9 @@ class TestBackward:
     def test_deterministic(self):
         params = init_params(4)
         img, tgt = random_instance(16, seed=3)
-        a = backward(params, img, tgt, W, "cross_entropy")
-        b = backward(params, img, tgt, W, "cross_entropy")
+        loss_a, a = backward(params, img, tgt, W, "cross_entropy")
+        loss_b, b = backward(params, img, tgt, W, "cross_entropy")
+        assert loss_a == loss_b
         for name in PARAM_SHAPES:
             np.testing.assert_array_equal(a[name], b[name])
 
@@ -268,9 +284,9 @@ class TestTrain:
         pair = self.make_pair()
         params = init_params(0)
         cfg = TrainConfig(epochs=1, learning_rate=1e-2, batch_size=1, loss_kind="cross_entropy", seed=0)
-        before = total_loss(forward(params, pair[0]), pair[1], W, "cross_entropy")
+        before, _ = backward(params, *pair, W, "cross_entropy")
         after_params = train(params, [pair], cfg, W)
-        after = total_loss(forward(after_params, pair[0]), pair[1], W, "cross_entropy")
+        after, _ = backward(after_params, *pair, W, "cross_entropy")
         assert after < before
 
     def test_zero_epochs_is_identity(self):
@@ -442,7 +458,8 @@ class TestConvWorkspace:
             assert_same_bytes(grads, ref_grads)
         if dtype is np.float64:
             image, target = ImageGrid(x[0, :, :, 0]), BinaryMask(t[0, :, :, 0].astype(int))
-            ref_grads = backward(params, image, target, W, "cross_entropy")
+            ref_loss, ref_grads = backward(params, image, target, W, "cross_entropy")
+            assert loss == ref_loss
             assert_same_bytes(grads, ref_grads)
 
 

@@ -270,6 +270,21 @@ class TestGreedyFinetune:
         out = greedy_finetune(ens, validation, 2, replace(SPEC, relative_sigma=0.01), seed=5)
         assert out.center == good
 
+    def test_one_round_scores_only_the_input(self, monkeypatch):
+        # R rounds score at most R ensembles, the input and R - 1 re-centred
+        # ones: with one round the flood ensemble above is decoded once per
+        # member and sample, and comes back as it went in
+        from activeseg import weaklabeler
+
+        flood = CrfParams(6.0, 50.0, 6.0, 5.0, 50.0, 2)
+        ens = CrfEnsemble(members=(flood, CENTER, flood), center=flood, rng_seed=0)
+        validation = self.validation_case()
+        decodes = []
+        monkeypatch.setattr(weaklabeler, "infer", lambda *args: decodes.append(args) or infer(*args))
+        out = greedy_finetune(ens, validation, 1, replace(SPEC, relative_sigma=0.01), seed=5)
+        assert out is ens
+        assert len(decodes) == 3 * len(validation)
+
     def test_never_regresses(self):
         rng = np.random.default_rng(9)
         validation = self.validation_case()
