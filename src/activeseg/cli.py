@@ -8,7 +8,6 @@ score (checkpoint over a pool), refine (weak-label one image), report
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -52,8 +51,7 @@ def _cmd_score(args) -> int:
     for s in samples:
         pred = segmenter.predict(params, s.image)
         rows.append((0, selection.score_sample(pred, s.id), "none"))
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        selection.write_scores_csv(fh, rows)
+    harness.write_scores_csv(args.out, rows)
     print(f"scored {len(rows)} samples into {args.out}")
     return 0
 
@@ -71,44 +69,9 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _dice_cells(cells: list[str], header: list[str], columns: list[int]) -> tuple[float, ...]:
-    """The Dice values of one pairs-CSV row, in ``columns`` order."""
-    if len(cells) < len(header):
-        raise ValueError(f"{len(cells)} cells, but the header has {len(header)}")
-    values = []
-    for i in columns:
-        try:
-            value = float(cells[i])
-        except ValueError:
-            raise ValueError(f"{header[i]} is not a number: {cells[i]!r}") from None
-        if not 0.0 <= value <= 1.0:  # also false for nan
-            raise ValueError(f"{header[i]} must be a Dice value in [0, 1], got {cells[i]!r}")
-        values.append(value)
-    return tuple(values)
-
-
 def _cmd_report(args) -> int:
-    pairs = []
-    try:
-        with open(args.pairs, "r", encoding="ascii") as fh:
-            header = fh.readline().strip().split(",")
-            columns = []
-            for name in ("mean_dsc", "r_dsc"):
-                if name not in header:
-                    raise ValueError(f"{args.pairs}: line 1: the header has no {name} column")
-                columns.append(header.index(name))
-            for lineno, line in enumerate(fh, 2):
-                try:
-                    pairs.append(_dice_cells(line.strip().split(","), header, columns))
-                except ValueError as exc:
-                    raise ValueError(f"{args.pairs}: line {lineno}: {exc}") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"{args.pairs}: not an ASCII text file") from None
-    os.makedirs(args.out, exist_ok=True)
-    coeff = harness.report_correlation(pairs, os.path.join(args.out, "correlation_ranks.csv"))
-    with open(os.path.join(args.out, "correlation_summary.csv"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("n_pairs,coefficient\n")
-        fh.write(f"{len(pairs)},{selection.fmt(coeff)}\n")
+    pairs = harness.read_correlation_pairs(args.pairs)
+    coeff = harness.report_correlation(pairs, args.out)
     print(f"rank correlation over {len(pairs)} pairs: {coeff:.4f}")
     return 0
 

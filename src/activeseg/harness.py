@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import alloop, selection
+from . import alloop
 from .alloop import ALConfig, DatasetSplit, RunResult
 from .core import BinaryMask, ImageGrid, Sample, check_seed, load_dataset, save_dataset
 from .crf import CrfParams
-from .segmenter import LossWeights, TrainConfig, TrainingDiverged
-from .selection import fmt, rank_correlation, write_scores_csv
-from .weaklabeler import PerturbSpec
+from .segmenter import LossWeights, TrainConfig, TrainingDiverged, save_params
+from .selection import SampleScores, descending_ranks, rank_correlation
+from .weaklabeler import PerturbSpec, save_ensemble
 
 SHAPE_KINDS = ("ellipse", "blob", "rectangle")
 FOREGROUND_INTENSITY = 0.8
@@ -374,57 +374,128 @@ def with_keys(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# reports: ASCII text with "\n" line ends and floats at .12g; _write_lines
+# writes every one of them
 # ---------------------------------------------------------------------------
 
 RUN_LOG_HEADER = "t,n_strong,n_weak,pool_remaining,labeled_total,test_dsc"
 CORRELATION_HEADER = "iteration,sample_id,mean_dsc,r_dsc"
+SCORES_CSV_HEADER = "iteration,sample_id,l_dsc,m_dsc,mean_dsc,uncertainty,confidence,selected_as"
+
+
+def fmt(x: float) -> str:
+    """Stable float formatting shared by every report."""
+    return format(x, ".12g")
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a "\n" to path as ASCII.  The bytes are built
+    before the file is opened, so a line that fails leaves no file."""
+    data = "".join(f"{line}\n" for line in lines).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_run_log(path: str, result: RunResult) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(RUN_LOG_HEADER + "\n")
-        for r in result.records:
-            fh.write(
-                f"{r.iteration},{len(r.strong_ids)},{len(r.weak_ids)},"
-                f"{r.pool_remaining},{r.labeled_total},{fmt(r.test_dsc)}\n"
-            )
+    _write_lines(path, [RUN_LOG_HEADER] + [
+        f"{r.iteration},{len(r.strong_ids)},{len(r.weak_ids)},"
+        f"{r.pool_remaining},{r.labeled_total},{fmt(r.test_dsc)}"
+        for r in result.records
+    ])
 
 
 def write_timings(path: str, result: RunResult) -> None:
     """Wall-clock phase durations; kept out of the CSVs so those stay
     byte-reproducible across runs."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t phase1_ms phase2_ms phase3_ms\n")
-        for r in result.records:
-            fh.write(f"{r.iteration} {r.phase1_ms:.3f} {r.phase2_ms:.3f} {r.phase3_ms:.3f}\n")
+    _write_lines(path, ["t phase1_ms phase2_ms phase3_ms"] + [
+        f"{r.iteration} {r.phase1_ms:.3f} {r.phase2_ms:.3f} {r.phase3_ms:.3f}" for r in result.records
+    ])
 
 
 def write_correlation_pairs(path: str, result: RunResult) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CORRELATION_HEADER + "\n")
-        for iteration, sid, mean_dsc, r_dsc in result.correlation_pairs:
-            fh.write(f"{iteration},{sid},{fmt(mean_dsc)},{fmt(r_dsc)}\n")
+    _write_lines(path, [CORRELATION_HEADER] + [
+        f"{iteration},{sid},{fmt(mean_dsc)},{fmt(r_dsc)}"
+        for iteration, sid, mean_dsc, r_dsc in result.correlation_pairs
+    ])
 
 
-def report_correlation(pairs: Sequence[Tuple[float, float]], out_path: Optional[str] = None) -> float:
+def write_scores_csv(path: str, rows: Sequence[Tuple[int, SampleScores, str]]) -> None:
+    """Rows are (iteration, scores, selected_as) with selected_as in
+    {strong, weak, none}; a bad mark raises before the file is opened."""
+    for _, _, selected_as in rows:
+        if selected_as not in ("strong", "weak", "none"):
+            raise ValueError(f"bad selected_as value {selected_as!r}")
+    _write_lines(path, [SCORES_CSV_HEADER] + [
+        f"{iteration},{s.sample_id},{fmt(s.l_dsc)},{fmt(s.m_dsc)},{fmt(s.mean_dsc)},"
+        f"{fmt(s.uncertainty)},{fmt(s.confidence)},{selected_as}"
+        for iteration, s, selected_as in rows
+    ])
+
+
+def _dice_cells(cells: list[str], header: list[str], columns: list[int]) -> Tuple[float, ...]:
+    """The Dice values of one pairs-CSV row, in ``columns`` order."""
+    if len(cells) < len(header):
+        raise ValueError(f"{len(cells)} cells, but the header has {len(header)}")
+    values = []
+    for i in columns:
+        try:
+            value = float(cells[i])
+        except ValueError:
+            raise ValueError(f"{header[i]} is not a number: {cells[i]!r}") from None
+        if not 0.0 <= value <= 1.0:  # also false for nan
+            raise ValueError(f"{header[i]} must be a Dice value in [0, 1], got {cells[i]!r}")
+        values.append(value)
+    return tuple(values)
+
+
+def read_correlation_pairs(path: str) -> list[Tuple[float, float]]:
+    """The (mean_dsc, r_dsc) pairs of a correlation.csv, its columns found
+    by header name.  A bad header or row raises naming the file and line."""
+    pairs = []
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().strip().split(",")
+            columns = []
+            for name in ("mean_dsc", "r_dsc"):
+                if name not in header:
+                    raise ValueError(f"{path}: line 1: the header has no {name} column")
+                columns.append(header.index(name))
+            for lineno, line in enumerate(fh, 2):
+                try:
+                    pairs.append(_dice_cells(line.strip().split(","), header, columns))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not an ASCII text file") from None
+    return pairs
+
+
+def _write_summary(out_dir: str, n_pairs: int, coeff: float) -> None:
+    path = os.path.join(out_dir, "correlation_summary.csv")
+    _write_lines(path, ["n_pairs,coefficient", f"{n_pairs},{fmt(coeff)}"])
+
+
+def report_correlation(pairs: Sequence[Tuple[float, float]], out_dir: Optional[str] = None) -> float:
     """Rank-regression coefficient between quality proxy and real Dice.
 
-    Optionally writes the scatter CSV: raw pair plus both descending ranks
-    per row.  Needs at least 10 pairs.
+    Needs at least 10 pairs and raises when the coefficient is undefined,
+    before any file is written.  With ``out_dir`` it then writes
+    correlation_ranks.csv (each raw pair with both descending ranks) and
+    correlation_summary.csv there.
     """
     if len(pairs) < 10:
         raise ValueError(f"need at least 10 pairs for a correlation report, got {len(pairs)}")
     mean_dscs = [a for a, _ in pairs]
     r_dscs = [b for _, b in pairs]
-    if out_path is not None:
-        ranks_a = selection._descending_ranks(mean_dscs)
-        ranks_b = selection._descending_ranks(r_dscs)
-        with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("mean_dsc,r_dsc,mean_dsc_rank,r_dsc_rank\n")
-            for (a, b), ra, rb in zip(pairs, ranks_a, ranks_b):
-                fh.write(f"{fmt(a)},{fmt(b)},{fmt(ra)},{fmt(rb)}\n")
-    return rank_correlation(mean_dscs, r_dscs)
+    coeff = rank_correlation(mean_dscs, r_dscs)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        ranks = zip(pairs, descending_ranks(mean_dscs), descending_ranks(r_dscs))
+        _write_lines(os.path.join(out_dir, "correlation_ranks.csv"), ["mean_dsc,r_dsc,mean_dsc_rank,r_dsc_rank"] + [
+            f"{fmt(a)},{fmt(b)},{fmt(ra)},{fmt(rb)}" for (a, b), ra, rb in ranks
+        ])
+        _write_summary(out_dir, len(pairs), coeff)
+    return coeff
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
@@ -436,9 +507,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
     samples = load_samples(cfg)
     _check_rasters(samples, cfg.dataset if isinstance(cfg.dataset, str) else "synthetic")
     split = make_split(samples, cfg)
-
-    with open(os.path.join(cfg.output_dir, "config_echo.txt"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(echo_config(cfg))
+    _write_lines(os.path.join(cfg.output_dir, "config_echo.txt"), echo_config(cfg).splitlines())
 
     arms = {"method": cfg.al}
     if cfg.with_baseline:
@@ -456,15 +525,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
         write_run_log(os.path.join(out, "run_log.csv"), result)
         write_timings(os.path.join(out, "timings.txt"), result)
         write_correlation_pairs(os.path.join(out, "correlation.csv"), result)
+        save_params(os.path.join(out, "model.ckpt"), result.params)
+        if result.ensemble is not None:
+            save_ensemble(os.path.join(out, "ensemble.txt"), result.ensemble, al_cfg.perturb)
         if al_cfg.query_strategy == "uncertainty":
-            with open(os.path.join(out, "scores.csv"), "w", encoding="ascii", newline="\n") as fh:
-                write_scores_csv(fh, result.score_rows)
+            write_scores_csv(os.path.join(out, "scores.csv"), result.score_rows)
         pairs = [(m, r) for _, _, m, r in result.correlation_pairs]
         try:
-            coeff = report_correlation(pairs, os.path.join(out, "correlation_ranks.csv"))
-        except ValueError:  # all-tied degenerate run; rank regression undefined
-            coeff = float("nan")
-        with open(os.path.join(out, "correlation_summary.csv"), "w", encoding="ascii", newline="\n") as fh:
-            fh.write("n_pairs,coefficient\n")
-            fh.write(f"{len(pairs)},{fmt(coeff)}\n")
+            report_correlation(pairs, out)
+        except ValueError:  # too few pairs, or all tied: rank regression undefined
+            _write_summary(out, len(pairs), float("nan"))
     return results

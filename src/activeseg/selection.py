@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,19 +135,10 @@ def select_queries(
     )
 
 
-def _descending_ranks(values: Sequence[float]) -> np.ndarray:
+def descending_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks in descending order; tied values share the average rank."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(-v, kind="mergesort")
-    ranks = np.empty(len(v), dtype=np.float64)
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(-np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - counts + (counts + 1) / 2)[inverse]
 
 
 def rank_correlation(mean_dscs: Sequence[float], real_dscs: Sequence[float]) -> float:
@@ -156,39 +147,11 @@ def rank_correlation(mean_dscs: Sequence[float], real_dscs: Sequence[float]) -> 
         raise ValueError(f"length mismatch: {len(mean_dscs)} vs {len(real_dscs)}")
     if len(mean_dscs) < 3:
         raise ValueError("need at least 3 pairs for a rank correlation")
-    ra = _descending_ranks(mean_dscs)
-    rb = _descending_ranks(real_dscs)
+    ra = descending_ranks(mean_dscs)
+    rb = descending_ranks(real_dscs)
     da = ra - ra.mean()
     db = rb - rb.mean()
     denom = math.sqrt(float((da**2).sum()) * float((db**2).sum()))
     if denom == 0.0:
         raise ValueError("rank correlation undefined: one of the lists is entirely tied")
     return float((da * db).sum() / denom)
-
-
-# ---------------------------------------------------------------------------
-# scores CSV export
-# ---------------------------------------------------------------------------
-
-SCORES_CSV_HEADER = "iteration,sample_id,l_dsc,m_dsc,mean_dsc,uncertainty,confidence,selected_as"
-
-
-def fmt(x: float) -> str:
-    """Stable float formatting shared by every CSV emitter."""
-    return format(x, ".12g")
-
-
-def write_scores_csv(
-    fh: IO[str],
-    rows: Iterable[tuple[int, SampleScores, str]],
-) -> None:
-    """Rows are (iteration, scores, selected_as) with selected_as in
-    {strong, weak, none}."""
-    fh.write(SCORES_CSV_HEADER + "\n")
-    for iteration, s, selected_as in rows:
-        if selected_as not in ("strong", "weak", "none"):
-            raise ValueError(f"bad selected_as value {selected_as!r}")
-        fh.write(
-            f"{iteration},{s.sample_id},{fmt(s.l_dsc)},{fmt(s.m_dsc)},{fmt(s.mean_dsc)},"
-            f"{fmt(s.uncertainty)},{fmt(s.confidence)},{selected_as}\n"
-        )

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,7 +27,8 @@ from activeseg.harness import (
     run_experiment,
     with_keys,
 )
-from activeseg.segmenter import TrainConfig
+from activeseg.segmenter import PARAM_SHAPES, TrainConfig, load_params
+from activeseg.weaklabeler import load_ensemble
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 README = os.path.join(ROOT, "README.md")
@@ -131,6 +133,15 @@ def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
     )
 
 
+def reported_experiment(tmp_path) -> harness.ExperimentConfig:
+    """tiny_experiment on the default training schedule, which trains far
+    enough for the test Dice to vary: the rank correlation is defined, so
+    the run writes every report."""
+    cfg = tiny_experiment(tmp_path)
+    default = default_experiment().al
+    return replace(cfg, al=replace(cfg.al, train=default.train, base_epochs=default.base_epochs))
+
+
 class TestConfigRoundtrip:
     def test_echo_parse_identity(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
@@ -197,6 +208,16 @@ class TestConfigRoundtrip:
 
         assert documented == [(key.name, shown(key.default)) for key in CONFIG_KEYS]
 
+    def test_readme_reports_are_the_files_a_run_writes(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().split("## Reports")[1].split("\n## ")[0]
+        documented = set(re.findall(r"`([a-z_]+\.[a-z]+)`", section))
+        cfg = replace(reported_experiment(tmp_path), with_baseline=True)
+        run_experiment(cfg)
+        written = set(os.listdir(os.path.join(cfg.output_dir, "random")))
+        written |= set(os.listdir(cfg.output_dir)) - {"random"}
+        assert documented == written
+
 
 DEFAULT_ECHO = """\
 dataset.kind=synthetic
@@ -245,7 +266,7 @@ output.dir=out
 
 class TestRunExperiment:
     def test_writes_reports(self, tmp_path):
-        cfg = tiny_experiment(tmp_path)
+        cfg = reported_experiment(tmp_path)
         results = run_experiment(cfg)
         out = cfg.output_dir
         for name in ("run_log.csv", "scores.csv", "correlation.csv",
@@ -266,8 +287,8 @@ class TestRunExperiment:
         assert all(r.weak_ids == () for r in results["random"].records)
 
     def test_csvs_are_deterministic(self, tmp_path):
-        cfg_a = tiny_experiment(tmp_path / "a")
-        cfg_b = tiny_experiment(tmp_path / "b")
+        cfg_a = reported_experiment(tmp_path / "a")
+        cfg_b = reported_experiment(tmp_path / "b")
         run_experiment(cfg_a)
         run_experiment(cfg_b)
         for name in ("run_log.csv", "scores.csv", "correlation.csv",
@@ -283,13 +304,37 @@ class TestRunExperiment:
         results = run_experiment(cfg)
         assert all(r.weak_ids == () for r in results["method"].records)
 
+    def test_undefined_correlation_writes_the_summary_alone(self, tmp_path):
+        # one epoch leaves every test Dice at 0: the ranks are all tied
+        cfg = tiny_experiment(tmp_path)
+        run_experiment(cfg)
+        with open(os.path.join(cfg.output_dir, "correlation_summary.csv")) as fh:
+            assert fh.read() == "n_pairs,coefficient\n30,nan\n"
+        assert not os.path.exists(os.path.join(cfg.output_dir, "correlation_ranks.csv"))
+
+    def test_saves_the_model_and_ensemble(self, tmp_path):
+        cfg = replace(tiny_experiment(tmp_path), with_baseline=True)
+        results = run_experiment(cfg)
+        for name, out in (("method", cfg.output_dir), ("random", os.path.join(cfg.output_dir, "random"))):
+            params = load_params(os.path.join(out, "model.ckpt"))
+            for layer in PARAM_SHAPES:
+                assert params[layer].tobytes() == results[name].params[layer].tobytes(), (name, layer)
+        assert load_ensemble(os.path.join(cfg.output_dir, "ensemble.txt")) == (results["method"].ensemble, cfg.al.perturb)
+        assert not os.path.exists(os.path.join(cfg.output_dir, "random", "ensemble.txt"))
+
+    def test_no_ensemble_file_without_pseudo_labels(self, tmp_path):
+        cfg = tiny_experiment(tmp_path, pseudo_labels=False)
+        assert run_experiment(cfg)["method"].ensemble is None
+        assert os.path.exists(os.path.join(cfg.output_dir, "model.ckpt"))
+        assert not os.path.exists(os.path.join(cfg.output_dir, "ensemble.txt"))
+
 
 class TestReportCorrelation:
     def test_comonotone(self, tmp_path):
         pairs = [(i / 10, i / 5) for i in range(12)]
-        coeff = report_correlation(pairs, str(tmp_path / "r.csv"))
+        coeff = report_correlation(pairs, str(tmp_path))
         assert coeff == pytest.approx(1.0)
-        with open(tmp_path / "r.csv") as fh:
+        with open(tmp_path / "correlation_ranks.csv") as fh:
             assert fh.readline().strip() == "mean_dsc,r_dsc,mean_dsc_rank,r_dsc_rank"
 
     def test_shuffled_pairs_uncorrelated(self):
@@ -304,6 +349,15 @@ class TestReportCorrelation:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             report_correlation([(0.1, 0.2)] * 9)
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(0.5, i / 10) for i in range(10)], "rank correlation undefined: one of the lists is entirely tied"),
+        ([(i / 10, i / 20) for i in range(9)], "need at least 10 pairs for a correlation report, got 9"),
+    ], ids=["tied", "short"])
+    def test_failed_report_writes_nothing(self, tmp_path, pairs, text):
+        with pytest.raises(ValueError, match=text):
+            report_correlation(pairs, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
@@ -363,6 +417,28 @@ class TestCli:
         rc = cli.main(["report", "--pairs", pairs_path, "--out", out_dir])
         assert rc == 0
         assert os.path.exists(os.path.join(out_dir, "correlation_summary.csv"))
+
+    def test_report_reproduces_the_run_report(self, tmp_path):
+        cfg = reported_experiment(tmp_path)
+        run_experiment(cfg)
+        out_dir = str(tmp_path / "rep")
+        assert cli.main(["report", "--pairs", os.path.join(cfg.output_dir, "correlation.csv"), "--out", out_dir]) == 0
+        for name in ("correlation_ranks.csv", "correlation_summary.csv"):
+            with open(os.path.join(cfg.output_dir, name), "rb") as a, open(os.path.join(out_dir, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+    @pytest.mark.parametrize("rows, text", [
+        ([f"0.5,{i / 30}" for i in range(10)], "error: rank correlation undefined: one of the lists is entirely tied\n"),
+        ([f"{i / 20},{i / 30}" for i in range(9)], "error: need at least 10 pairs for a correlation report, got 9\n"),
+    ], ids=["tied", "short"])
+    def test_failed_report_command_writes_nothing(self, tmp_path, capsys, rows, text):
+        pairs_path = str(tmp_path / "pairs.csv")
+        with open(pairs_path, "w") as fh:
+            fh.write("iteration,sample_id,mean_dsc,r_dsc\n" + "".join(f"0,s{i},{row}\n" for i, row in enumerate(rows)))
+        out_dir = str(tmp_path / "rep")
+        assert cli.main(["report", "--pairs", pairs_path, "--out", out_dir]) == 1
+        assert capsys.readouterr().err == text
+        assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("row, text", [
         ("0,s3,0.5", "line 5: 3 cells, but the header has 4"),

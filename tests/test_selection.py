@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activeseg.core import ProbMap
+from activeseg.harness import write_scores_csv
 from activeseg.segmenter import MultiHeadPrediction
 from activeseg.selection import (
     SampleScores,
     confidence,
     confidence_threshold,
+    descending_ranks,
     rank_correlation,
     score_sample,
     select_queries,
-    write_scores_csv,
 )
 
 
@@ -218,17 +218,29 @@ class TestRankCorrelation:
         with pytest.raises(ValueError):
             rank_correlation([1, 1, 1], [1, 2, 3])
 
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_descending_ranks_match_scipy_rankdata(self, values):
+        from scipy.stats import rankdata
+
+        np.testing.assert_array_equal(descending_ranks(values), rankdata(-np.asarray(values)))
+
 
 class TestScoresCsv:
-    def test_schema_and_formatting(self):
+    def test_schema_and_formatting(self, tmp_path):
         rows = [(1, scores_from([0.25], [0.125], ["a"])[0], "strong")]
-        buf = io.StringIO()
-        write_scores_csv(buf, rows)
-        lines = buf.getvalue().splitlines()
+        write_scores_csv(str(tmp_path / "scores.csv"), rows)
+        lines = (tmp_path / "scores.csv").read_text().splitlines()
         assert lines[0] == "iteration,sample_id,l_dsc,m_dsc,mean_dsc,uncertainty,confidence,selected_as"
         assert lines[1] == "1,a,0.75,0.75,0.75,0.25,0.125,strong"
 
-    def test_rejects_bad_mark(self):
+    def test_rejects_bad_mark(self, tmp_path):
         rows = [(1, scores_from([0.5])[0], "meh")]
         with pytest.raises(ValueError):
-            write_scores_csv(io.StringIO(), rows)
+            write_scores_csv(str(tmp_path / "scores.csv"), rows)
+
+    def test_bad_mark_writes_no_file(self, tmp_path):
+        rows = [(1, s, "weak") for s in scores_from([0.5, 0.25])] + [(2, scores_from([0.5])[0], "meh")]
+        with pytest.raises(ValueError, match="bad selected_as value 'meh'"):
+            write_scores_csv(str(tmp_path / "scores.csv"), rows)
+        assert list(tmp_path.iterdir()) == []
