@@ -151,12 +151,16 @@ def load_samples(cfg: ExperimentConfig) -> list[Sample]:
 
 
 def _check_rasters(samples: Sequence[Sample], source: str) -> None:
-    """Reject rasters the segmenter cannot train on: sides not divisible by 4
-    (its two 2x2 pooling stages) or more than one raster size."""
+    """Reject samples a run cannot train on or report: sides not divisible
+    by 4 (the segmenter's two 2x2 pooling stages), more than one raster
+    size, or an id that is not ASCII or holds a comma (the reports write ids
+    unquoted into ASCII CSV files)."""
     if not samples:
         return  # make_split reports the empty dataset
     h0, w0 = samples[0].image.values.shape
     for s in samples:
+        if not s.id.isascii() or "," in s.id:
+            raise ValueError(f"dataset {source}: sample id {s.id!r} must be ASCII without commas; reports write ids unquoted")
         h, w = s.image.values.shape
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w}; training needs sides divisible by 4")

@@ -24,8 +24,10 @@ Passes run on a plan of preallocated buffers (``_ForwardPlan``,
 ``_StepPlan``) with the 3x3 kernels in their (9*C, O) gemm layout.  ``train``
 builds one step plan per call and runs every step as a fixed sequence of
 gemms and ``out=`` numpy calls on it; ``predict`` and ``backward`` build a
-plan per call.  Every float equals that of the allocating reference loop in
-``tests/oracles.py``.
+plan per call.  A step computes gradients only, from the three head maps
+the plan holds in one (N, 3, H, W, 1) buffer; ``backward`` computes its
+loss value afterwards from those maps.  Every float equals that of the
+allocating reference loop in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -235,21 +237,31 @@ def _canonical(views: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 class _Conv:
     """One 3x3 same-pad conv on preallocated buffers: the zero-bordered
     (N, H+2, W+2, C) input, whose interior callers write and whose border
-    stays zero; its (N, H, W, 3, 3, C) window view; the im2col matrix, columns
-    in (dy, dx, c) order; and the (N, H, W, O) gemm output."""
+    stays zero; the im2col matrix, columns in (dy, dx, c) order; and the
+    (N, H, W, O) gemm output.  The matrix is one copy of the input's
+    (N, H, W, 3, 3, C) window view, or, for a single channel, whose windows
+    hold 3-float runs, nine copies of the input shifted by (dy, dx)."""
 
     def __init__(self, bordered: np.ndarray, cols: np.ndarray, out: np.ndarray):
         n, hp, wp, c = bordered.shape
-        sn, sh, sw, sc = bordered.strides
+        h, w = hp - 2, wp - 2
         self.inner = bordered[:, 1:-1, 1:-1]
-        self.windows = as_strided(bordered, (n, hp - 2, wp - 2, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False)
-        self.cols6 = cols
-        self.cols = cols.reshape(n * (hp - 2) * (wp - 2), 9 * c)
+        if c == 1:
+            taps = cols.reshape(n, h, w, 9)
+            self.copies = [
+                (taps[..., 3 * dy + dx], bordered[:, dy : dy + h, dx : dx + w, 0]) for dy in range(3) for dx in range(3)
+            ]
+        else:
+            sn, sh, sw, sc = bordered.strides
+            windows = as_strided(bordered, (n, h, w, 3, 3, c), (sn, sh, sw, sh, sw, sc), writeable=False)
+            self.copies = [(cols, windows)]
+        self.cols = cols.reshape(n * h * w, 9 * c)
         self.out = out
         self.out2d = out.reshape(-1, out.shape[3])
 
     def im2col(self) -> np.ndarray:
-        np.copyto(self.cols6, self.windows)
+        for dst, src in self.copies:
+            np.copyto(dst, src)
         return self.cols
 
     def __call__(self, kmat: np.ndarray) -> np.ndarray:
@@ -264,37 +276,40 @@ def _blocks(x: np.ndarray, factor: int) -> np.ndarray:
     return x.reshape(n, h // factor, factor, w // factor, factor, c)
 
 
-def _maxpool2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _maxpool2(x: np.ndarray, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """2x2 max pooling of x (N, H, W, C) into out (N, H/2, W/2, C): the max of
-    the four strided window views."""
-    np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2], out=out)
-    np.maximum(out, x[:, 1::2, 0::2], out=out)
-    return np.maximum(out, x[:, 1::2, 1::2], out=out)
+    each pair of rows into rows (N, H/2, W, C), whole rows at a time, then of
+    each pair of its columns.  A max is one of its operands, so only the zero
+    sign of a tie between +0.0 and -0.0 could depend on the order, and these
+    ReLU outputs hold no -0.0: their inputs are gemm outputs, which hold
+    none, plus a bias."""
+    np.maximum(x[:, 0::2], x[:, 1::2], out=rows)
+    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2], out=out)
 
 
 def _maxpool2_grad(dout, x, pooled, out, hit, free) -> np.ndarray:
     """Route dout (N, H/2, W/2, C) to the first element of each 2x2 window of
     x that equals its pooled value, in argmax's (dy, dx) order, so ties go
-    where argmax sends them; out (N, H, W, C) is +0.0 elsewhere.  hit and free
-    are boolean scratch of dout's shape."""
-    out.fill(0.0)
-    free.fill(True)
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    where argmax sends them.  Each strided quarter of out (N, H, W, C) is
+    dout times its hit mask, so it holds a zero of dout's sign off the hits;
+    added to a gemm output, which holds no -0.0, that is the +0.0 of argmax
+    routing.  hit and free are boolean scratch of dout's shape."""
+    for i, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         np.equal(x[:, dy::2, dx::2], pooled, out=hit)
-        np.logical_and(hit, free, out=hit)
-        np.logical_xor(free, hit, out=free)
-        np.copyto(out[:, dy::2, dx::2], dout, where=hit)
+        if i == 0:
+            np.logical_not(hit, out=free)
+        else:
+            np.logical_and(hit, free, out=hit)
+            if i < 3:
+                np.logical_xor(free, hit, out=free)
+        np.multiply(dout, hit, out=out[:, dy::2, dx::2])
     return out
 
 
-def _upsample_grad(dout: np.ndarray, factor: int, out: np.ndarray) -> np.ndarray:
-    """Block sums of the gradient of an NN upsample by factor."""
-    return _blocks(dout, factor).sum(axis=(2, 4), out=out)
-
-
 def _upsample2_grad(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``_upsample_grad(dout, 2)`` for a channel slice dout of a gemm output,
-    as three adds of strided views.  On such a slice numpy's block sum adds
+    """The block sums of the gradient of an NN upsample by 2, for a channel
+    slice dout of a gemm output, as three adds of strided views.  On such a
+    slice numpy's block sum (``_blocks(dout, 2).sum(axis=(2, 4))``) adds
     each window in row-major order, ((x00 + x01) + x10) + x11, from a +0.0
     start that changes no sum here, since a gemm output holds no -0.0."""
     np.add(dout[:, 0::2, 0::2], dout[:, 0::2, 1::2], out=out)
@@ -311,19 +326,59 @@ def _sigmoid(z: np.ndarray, out: np.ndarray, pos: np.ndarray, den: np.ndarray) -
     np.negative(z, out=z)
     np.exp(z, out=z)
     np.add(z, 1.0, out=den)
-    np.divide(z, den, out=out)
-    return np.divide(1.0, den, out=out, where=pos)
+    np.copyto(z, 1.0, where=pos)
+    return np.divide(z, den, out=out)
+
+
+def _clamp_eps(dtype) -> float:
+    """The cross entropy's probability clamp, which must stay representable:
+    float32 cannot hold 1 - 1e-8."""
+    return max(EPS, 4.0 * float(np.finfo(dtype).eps))
+
+
+def _head_loss(p: np.ndarray, t: np.ndarray, loss_kind: str) -> float:
+    """Mean-over-batch loss of one head map p (N, H, W, 1) against targets t
+    of the same shape; soft dice per sample, then averaged."""
+    if loss_kind == "cross_entropy":
+        eps = _clamp_eps(p.dtype)
+        pc = np.clip(p, eps, 1.0 - eps)
+        return float(np.mean(-(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
+    smooth = 1.0
+    inter = (p * t).sum(axis=(1, 2, 3))
+    psum = p.sum(axis=(1, 2, 3))
+    tsum = t.sum(axis=(1, 2, 3))
+    return float(np.mean(1.0 - (2.0 * inter + smooth) / (psum + tsum + smooth)))
 
 
 # ---------------------------------------------------------------------------
 # step plan: every buffer a forward (and backward) pass writes, allocated once
 # ---------------------------------------------------------------------------
 
+# ufunc buffer size (elements) during a training step
+_UFUNC_BUFFER = 256
+# each head: the feature map its 1x1 conv reads and the NN upsample factor
+# that takes its logits to input size
+_HEADS = (("lower", "bottleneck", 4), ("middle", "dec1", 2), ("final", "dec2", 1))
+
+
+def _head_views(flat: np.ndarray, h: int, w: int) -> Dict[str, np.ndarray]:
+    """head -> its (N, H/f, W/f, 1) view of a flat (N, L) head buffer, the
+    heads laid end to end along L."""
+    views, offset = {}, 0
+    for head, _, factor in _HEADS:
+        hh, ww = h // factor, w // factor
+        views[head] = flat[:, offset : offset + hh * ww].reshape(-1, hh, ww, 1)
+        offset += hh * ww
+    return views
+
 
 class _ForwardPlan:
     """The buffers of one forward pass over a batch of N rasters, and the
     pass itself.  Every buffer has the batch as its leading axis, so
-    ``batch(n)`` gives a plan on ``[:n]`` views of the same memory."""
+    ``batch(n)`` gives a plan on ``[:n]`` views of the same memory.  The
+    three heads' logits lie end to end in one flat (N, L) buffer, so one
+    sigmoid covers them, and their maps at input size share one
+    (N, 3, H, W, 1) buffer, ``probs``, head k in ``probs[:, k]``."""
 
     def __init__(self, store: Dict[str, np.ndarray], n: int):
         self.store, self.n = store, n
@@ -334,6 +389,15 @@ class _ForwardPlan:
         dec1, dec2 = self.convs["dec1"].inner, self.convs["dec2"].inner
         self.dec1_up, self.dec1_skip = _blocks(dec1[..., :32], 2), dec1[..., 32:]
         self.dec2_up, self.dec2_skip = _blocks(dec2[..., :16], 2), dec2[..., 16:]
+        # per conv, its bias repeated along one (W*O) row of its gemm output
+        self.bias_rows = {name: np.empty(conv.out[0, 0].size, self.x.dtype) for name, conv in self.convs.items()}
+        self.probs = s["probs"]
+        h, w = self.probs.shape[2:4]
+        self.z, sig = _head_views(s["z"], h, w), _head_views(s["sig"], h, w)
+        # per head, its map as blocks of the NN upsample and its sigmoid
+        self.upsample = [
+            (_blocks(self.probs[:, k], factor), sig[head][:, :, None, :, None]) for k, (head, _, factor) in enumerate(_HEADS)
+        ]
         self.bufs = s
 
     @classmethod
@@ -352,47 +416,54 @@ class _ForwardPlan:
             store[f"{name}.in"] = np.zeros((n, hh + 2, ww + 2, c), dtype)
             store[f"{name}.cols"] = np.empty((n, hh, ww, 3, 3, c), dtype)
             store[f"{name}.out"] = np.empty((n, hh, ww, o), dtype)
-        for head, scale in (("lower", 4), ("middle", 2), ("final", 1)):
-            small = (n, h // scale, w // scale, 1)
-            store[f"z.{head}"] = np.empty(small, dtype)
-            store[f"pos.{head}"] = np.empty(small, bool)
-            store[f"den.{head}"] = np.empty(small, dtype)
-            store[f"sig.{head}"] = np.empty(small, dtype)
-            store[f"p.{head}"] = store[f"sig.{head}"] if scale == 1 else np.empty((n, h, w, 1), dtype)
+        flat = (n, sum((h // factor) * (w // factor) for _, _, factor in _HEADS))
+        for pool, act in (("pool1", "enc1"), ("pool2", "enc2")):
+            hh, ww, c = store[f"{act}.out"].shape[1:]
+            store[f"{pool}.rows"] = np.empty((n, hh // 2, ww, c), dtype)
+        store["z"], store["sig"], store["den"] = (np.empty(flat, dtype) for _ in range(3))
+        store["pos"] = np.empty(flat, bool)
+        store["probs"] = np.empty((n, len(_HEADS), h, w, 1), dtype)
         return store
 
-    def forward(self, p: Dict[str, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lower, middle, final) foreground probabilities at input size for
-        the batch written into ``x``, with p the gemm-layout parameters.
-        Sigmoids run at head resolution, before the NN upsample."""
+    def forward(self, p: Dict[str, np.ndarray]) -> np.ndarray:
+        """``probs``: the (lower, middle, final) foreground probabilities at
+        input size for the batch written into ``x``, with p the gemm-layout
+        parameters.  Biases add over whole (W*O) rows of a gemm output; the
+        sigmoid runs at head resolution, before the NN upsample."""
         c, s = self.convs, self.bufs
 
         def conv_relu(name):
-            out = c[name](p[f"{name}.kernel"])
-            np.add(out, p[f"{name}.bias"], out=out)
+            out, bias = c[name](p[f"{name}.kernel"]), self.bias_rows[name]
+            np.copyto(bias.reshape(-1, out.shape[3]), p[f"{name}.bias"])
+            rows = out.reshape(-1, bias.size)
+            np.add(rows, bias, out=rows)
             return np.maximum(out, 0.0, out=out)
 
         a1 = conv_relu("enc1")
-        _maxpool2(a1, out=c["enc2"].inner)
+        _maxpool2(a1, c["enc2"].inner, s["pool1.rows"])
         a2 = conv_relu("enc2")
-        _maxpool2(a2, out=c["bottleneck"].inner)
+        _maxpool2(a2, c["bottleneck"].inner, s["pool2.rows"])
         a3 = conv_relu("bottleneck")
         np.copyto(self.dec1_up, a3[:, :, None, :, None])
         np.copyto(self.dec1_skip, a2)
         d1 = conv_relu("dec1")
         np.copyto(self.dec2_up, d1[:, :, None, :, None])
         np.copyto(self.dec2_skip, a1)
-        d2 = conv_relu("dec2")
+        conv_relu("dec2")
 
-        probs = []
-        for head, feat, factor in (("lower", a3, 4), ("middle", d1, 2), ("final", d2, 1)):
-            z = np.matmul(feat, p[f"head_{head}.kernel"][:, :, 0, 0].T, out=s[f"z.{head}"])
+        for head, feat, _ in _HEADS:
+            z = np.matmul(c[feat].out, p[f"head_{head}.kernel"][:, :, 0, 0].T, out=self.z[head])
             np.add(z, p[f"head_{head}.bias"], out=z)
-            sig = _sigmoid(z, s[f"sig.{head}"], s[f"pos.{head}"], s[f"den.{head}"])
-            if factor > 1:
-                np.copyto(_blocks(s[f"p.{head}"], factor), sig[:, :, None, :, None])
-            probs.append(s[f"p.{head}"])
-        return tuple(probs)
+        _sigmoid(s["z"], s["sig"], s["pos"], s["den"])
+        for blocks, sig in self.upsample:
+            np.copyto(blocks, sig)
+        return self.probs
+
+    def loss(self, t: np.ndarray, w: LossWeights, loss_kind: str) -> float:
+        """The weighted loss (batch mean) of the maps in ``probs`` against
+        targets t (N, H, W, 1): the loss whose gradient a step descends."""
+        lower, middle, final = (_head_loss(np.ascontiguousarray(self.probs[:, k]), t, loss_kind) for k in range(3))
+        return w.alpha_l * lower + w.alpha_m * middle + w.alpha_f * final
 
 
 class _StepPlan(_ForwardPlan):
@@ -413,6 +484,11 @@ class _StepPlan(_ForwardPlan):
         for name in _CONVS[1:]:
             o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
             self.flip[name] = np.empty((9 * o, c), self.x.dtype)
+        # the head weights (alpha_l, alpha_m, alpha_f), against probs' head axis
+        self.alphas = np.empty((1, len(_HEADS), 1, 1, 1), self.x.dtype)
+        # per head, its weighted logit gradient at input size as blocks of
+        # the NN upsample
+        self.dz_blocks = [_blocks(s["dz"][:, k], factor) for k, (_, _, factor) in enumerate(_HEADS)]
         self.t = s["t"]
 
     @staticmethod
@@ -427,44 +503,102 @@ class _StepPlan(_ForwardPlan):
                 store[f"{name}.dx"] = np.empty((n, hh, ww, c), dtype)
                 store[f"dgrad{key}.in"] = np.zeros((n, hh + 2, ww + 2, o), dtype)
                 store[f"dgrad{key}.cols"] = np.empty((n, hh, ww, 3, 3, o), dtype)
-        for head, feat in (("lower", "bottleneck"), ("middle", "dec1"), ("final", "dec2")):
+        for head, feat, _ in _HEADS:
             store[f"dfeat.{head}"] = np.empty_like(store[f"{feat}.out"])
+            store[f"dz.{head}"] = np.empty_like(store[f"{feat}.out"][..., :1])
         for head in ("lower", "middle"):
-            store[f"dz.{head}"] = np.empty_like(store[f"z.{head}"])
             store[f"up.{head}"] = np.empty_like(store[f"dfeat.{head}"])
         for pool, act, pooled in (("pool1", "enc1", "enc2"), ("pool2", "enc2", "bottleneck")):
             store[f"{pool}.routed"] = np.empty_like(store[f"{act}.out"])
             window_shape = store[f"{pooled}.in"][:, 1:-1, 1:-1].shape
             store[f"{pool}.hit"] = np.empty(window_shape, bool)
             store[f"{pool}.free"] = np.empty(window_shape, bool)
+        # the head-loss kernel: its gradient, scratch and per-(sample, head)
+        # soft-dice sums
+        store["dz"] = np.empty_like(store["probs"])
+        store["loss.scratch"] = np.empty_like(store["probs"])
+        store["loss.inside"] = np.empty(store["probs"].shape, bool)
+        store["loss.below"] = np.empty(store["probs"].shape, bool)
+        store["loss.2t"] = np.empty((n, 1, h, w, 1), dtype)
+        for key in ("inter", "psum", "num", "den", "den2"):
+            store[f"loss.{key}"] = np.empty((n, len(_HEADS)), dtype)
+        store["loss.tsum"] = np.empty((n, 1), dtype)
         store["t"] = np.empty((n, h, w, 1), dtype)
         return store
 
-    def step(self, p, g, t, w: LossWeights, loss_kind: str) -> float:
-        """Total loss (batch mean) of the batch in ``x`` against targets t;
-        the analytic gradient of every parameter goes to g (gemm layout)."""
+    def _logit_grads(self, t: np.ndarray, w: LossWeights, loss_kind: str) -> np.ndarray:
+        """The gradient of each head's loss w.r.t. its logits at input size,
+        times the head's weight, in the (N, 3, H, W, 1) buffer ``dz``: float
+        for float the gradient of the batch mean of ``_head_loss``.  The
+        cross entropy's clamp is flat, so its gradient is +0.0 outside."""
+        s, probs, dz = self.bufs, self.probs, self.bufs["dz"]
+        n, npix = probs.shape[0], probs.shape[2] * probs.shape[3]
+        tt = t[:, None]
+        if loss_kind == "cross_entropy":
+            eps = _clamp_eps(probs.dtype)
+            inside, below = s["loss.inside"], s["loss.below"]
+            np.subtract(probs, tt, out=dz)
+            np.greater(probs, eps, out=inside)
+            np.less(probs, 1.0 - eps, out=below)
+            np.logical_and(inside, below, out=inside)
+            np.logical_not(inside, out=inside)
+            np.copyto(dz, 0.0, where=inside)
+            np.divide(dz, n * npix, out=dz)
+        else:
+            # d/dp_i of -(2*inter+s)/den = -(2 t_i den - num) / den^2
+            scratch, num, den, den2 = s["loss.scratch"], s["loss.num"], s["loss.den"], s["loss.den2"]
+            np.multiply(probs, tt, out=scratch)
+            np.add.reduce(scratch, axis=(2, 3, 4), out=s["loss.inter"])
+            np.add.reduce(probs, axis=(2, 3, 4), out=s["loss.psum"])
+            np.add.reduce(t, axis=(1, 2, 3), out=s["loss.tsum"][:, 0])
+            np.multiply(s["loss.inter"], 2.0, out=num)
+            np.add(num, 1.0, out=num)
+            np.add(s["loss.psum"], s["loss.tsum"], out=den)
+            np.add(den, 1.0, out=den)
+            np.square(den, out=den2)
+            np.multiply(tt, 2.0, out=s["loss.2t"])
+            np.multiply(s["loss.2t"], den[:, :, None, None, None], out=dz)
+            np.subtract(dz, num[:, :, None, None, None], out=dz)
+            np.negative(dz, out=dz)
+            np.divide(dz, den2[:, :, None, None, None], out=dz)
+            np.multiply(dz, probs, out=dz)
+            np.subtract(1.0, probs, out=scratch)
+            np.multiply(dz, scratch, out=dz)
+            np.divide(dz, n, out=dz)
+        self.alphas[0, :, 0, 0, 0] = (w.alpha_l, w.alpha_m, w.alpha_f)
+        return np.multiply(dz, self.alphas, out=dz)
+
+    def step(self, p, g, t, w: LossWeights, loss_kind: str) -> None:
+        """The analytic gradient of every parameter (gemm layout) into g, for
+        the total loss (batch mean) of the batch in ``x`` against targets t.
+        The loss value itself is left to ``loss``."""
+        with np.errstate():  # restores the buffer size on exit
+            # numpy gives each ufunc call over strided or broadcast operands
+            # iteration buffers of up to this many elements per operand, and
+            # allocates them even where nothing is cast; at the default 8192
+            # a batch-2 32x32 step peaked at 68 KB of them
+            np.setbufsize(_UFUNC_BUFFER)
+            self._step(p, g, t, w, loss_kind)
+
+    def _step(self, p, g, t, w, loss_kind):
         c, s, dg = self.convs, self.bufs, self.dgrad
-        lower, middle, final = self.forward(p)
-        a1, a2, a3, d1, d2 = (c[name].out for name in _CONVS)
+        self.forward(p)
+        dz = self._logit_grads(t, w, loss_kind)
 
-        loss_l, dz_l = _head_loss_grad_batch(lower, t, loss_kind)
-        loss_m, dz_m = _head_loss_grad_batch(middle, t, loss_kind)
-        loss_f, dz_f = _head_loss_grad_batch(final, t, loss_kind)
-        total = w.alpha_l * loss_l + w.alpha_m * loss_m + w.alpha_f * loss_f
-        np.multiply(dz_l, w.alpha_l, out=dz_l)
-        np.multiply(dz_m, w.alpha_m, out=dz_m)
-        np.multiply(dz_f, w.alpha_f, out=dz_f)
+        # heads: logits were NN-upsampled, so gradients block-sum back down;
+        # the final head's is copied out of the stack to be contiguous
+        def head_grads(k, head, feat, factor):
+            dzk = s[f"dz.{head}"]
+            if factor > 1:
+                np.add.reduce(self.dz_blocks[k], axis=(2, 4), out=dzk)
+            else:
+                np.copyto(dzk, dz[:, k])
+            kern, act = p[f"head_{head}.kernel"], c[feat].out
+            np.dot(dzk.reshape(1, -1), act.reshape(-1, kern.shape[1]), out=g[f"head_{head}.kernel"].reshape(1, -1))
+            np.add.reduce(dzk, axis=(0, 1, 2), out=g[f"head_{head}.bias"])
+            return np.multiply(dzk, kern[0, :, 0, 0], out=s[f"dfeat.{head}"])
 
-        # heads: logits were NN-upsampled, so gradients block-sum back down
-        def head_grads(head, dz, feat):
-            k = p[f"head_{head}.kernel"]
-            np.dot(dz.reshape(1, -1), feat.reshape(-1, k.shape[1]), out=g[f"head_{head}.kernel"].reshape(1, -1))
-            np.sum(dz, axis=(0, 1, 2), out=g[f"head_{head}.bias"])
-            return np.multiply(dz, k[0, :, 0, 0], out=s[f"dfeat.{head}"])
-
-        dfeat_lower = head_grads("lower", _upsample_grad(dz_l, 4, s["dz.lower"]), a3)
-        dfeat_middle = head_grads("middle", _upsample_grad(dz_m, 2, s["dz.middle"]), d1)
-        dfeat_final = head_grads("final", dz_f, d2)
+        dfeat_lower, dfeat_middle, dfeat_final = (head_grads(k, *head) for k, head in enumerate(_HEADS))
 
         def conv_grads(name, da):
             """Parameter gradients of conv `name` from da, the gradient at its
@@ -475,7 +609,7 @@ class _StepPlan(_ForwardPlan):
             dpre = np.multiply(da, mask, out=da)
             dpre2d = dpre.reshape(-1, act.shape[3])
             np.matmul(c[name].cols.T, dpre2d, out=g[f"{name}.kernel"])
-            np.sum(dpre, axis=(0, 1, 2), out=g[f"{name}.bias"])
+            np.add.reduce(dpre, axis=(0, 1, 2), out=g[f"{name}.bias"])
             if name == "enc1":
                 return None
             km = p[f"{name}.kernel"]
@@ -495,12 +629,13 @@ class _StepPlan(_ForwardPlan):
         da3 = np.add(dfeat_lower, _upsample2_grad(du1, s["up.lower"]), out=dfeat_lower)
         dp2 = conv_grads("bottleneck", da3)
 
-        routed = _maxpool2_grad(dp2, a2, c["bottleneck"].inner, s["pool2.routed"], s["pool2.hit"], s["pool2.free"])
+        pool2 = [s[f"pool2.{part}"] for part in ("routed", "hit", "free")]
+        routed = _maxpool2_grad(dp2, c["enc2"].out, c["bottleneck"].inner, *pool2)
         dp1 = conv_grads("enc2", np.add(da2_skip, routed, out=routed))
 
-        routed = _maxpool2_grad(dp1, a1, c["enc2"].inner, s["pool1.routed"], s["pool1.hit"], s["pool1.free"])
+        pool1 = [s[f"pool1.{part}"] for part in ("routed", "hit", "free")]
+        routed = _maxpool2_grad(dp1, c["enc1"].out, c["enc2"].inner, *pool1)
         conv_grads("enc1", np.add(da1_skip, routed, out=routed))
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -515,39 +650,9 @@ def predict(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
     padded, (h, w) = pad_to_multiple(image.values, 4)
     plan = _ForwardPlan.allocate(1, padded.shape[0], padded.shape[1], np.float64)
     plan.x[0, :, :, 0] = padded
-    maps = plan.forward(_param_views(_gemm_params(params.tensors, np.float64)))
-    lower, middle, final = (ProbMap(m[0, :h, :w, 0]) for m in maps)
+    probs = plan.forward(_param_views(_gemm_params(params.tensors, np.float64)))
+    lower, middle, final = (ProbMap(probs[0, k, :h, :w, 0]) for k in range(3))
     return MultiHeadPrediction(lower=lower, middle=middle, final=final)
-
-
-def _head_loss_grad_batch(p: np.ndarray, t: np.ndarray, loss_kind: str) -> Tuple[float, np.ndarray]:
-    """Mean-over-batch head loss and its gradient w.r.t. the head logits.
-
-    p is the sigmoid output (N, H, W, 1); t the targets with the same shape.
-    Returns dL/dz where z is the pre-sigmoid logit map.
-    """
-    n = p.shape[0]
-    npix = p.shape[1] * p.shape[2]
-    if loss_kind == "cross_entropy":
-        # the clamp must stay representable: float32 cannot hold 1 - 1e-8
-        eps = max(EPS, 4.0 * float(np.finfo(p.dtype).eps))
-        pc = np.clip(p, eps, 1.0 - eps)
-        loss = float(np.mean(-(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
-        inside = (p > eps) & (p < 1.0 - eps)  # clamp is flat outside
-        dz = np.where(inside, p - t, 0.0) / (n * npix)
-        return loss, dz
-    # soft dice, per sample then averaged over the batch
-    smooth = 1.0
-    inter = (p * t).sum(axis=(1, 2, 3))
-    psum = p.sum(axis=(1, 2, 3))
-    tsum = t.sum(axis=(1, 2, 3))
-    num = 2.0 * inter + smooth
-    den = psum + tsum + smooth
-    loss = float(np.mean(1.0 - num / den))
-    # d/dp_i of -(2*inter+s)/den = -(2 t_i den - num) / den^2
-    dp = -(2.0 * t * den[:, None, None, None] - num[:, None, None, None]) / (den**2)[:, None, None, None]
-    dz = dp * p * (1.0 - p) / n
-    return loss, dz
 
 
 def _loss_and_grads_batch(
@@ -559,8 +664,8 @@ def _loss_and_grads_batch(
     plan = _StepPlan.allocate(x.shape[0], x.shape[1], x.shape[2], dtype)
     np.copyto(plan.x, x)
     grads = _param_views(np.empty(_PARAM_SIZE, dtype))
-    total = plan.step(_param_views(_gemm_params(tensors, dtype)), grads, t, w, loss_kind)
-    return total, _canonical(grads)
+    plan.step(_param_views(_gemm_params(tensors, dtype)), grads, t, w, loss_kind)
+    return plan.loss(t, w, loss_kind), _canonical(grads)
 
 
 def backward(

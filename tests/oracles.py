@@ -16,8 +16,10 @@ call: ``np.pad``, a sliding-window view and a transposed copy per im2col,
 ``np.concatenate`` for the decoder inputs.  Its layer primitives (the gemm
 with its kernel transposes, argmax pooling, upsampling, the boolean-indexed
 sigmoid) are verbatim copies of the ones the package's training loop used
-before it ran on a preallocated step plan; only the head losses come from
-the package.  The package's ``train`` must match it bit for bit.
+before it ran on a preallocated step plan, and its head loss and gradient
+is a verbatim copy of the allocating one the package used before its step
+plan computed gradients only.  The package's ``train`` must match it bit
+for bit.
 """
 
 import math
@@ -294,6 +296,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _head_loss_grad_batch(p: np.ndarray, t: np.ndarray, loss_kind: str) -> Tuple[float, np.ndarray]:
+    """Mean-over-batch head loss and its gradient w.r.t. the head logits.
+
+    p is the sigmoid output (N, H, W, 1); t the targets with the same shape.
+    Returns dL/dz where z is the pre-sigmoid logit map.
+    """
+    n = p.shape[0]
+    npix = p.shape[1] * p.shape[2]
+    if loss_kind == "cross_entropy":
+        # the clamp must stay representable: float32 cannot hold 1 - 1e-8
+        eps = max(sg.EPS, 4.0 * float(np.finfo(p.dtype).eps))
+        pc = np.clip(p, eps, 1.0 - eps)
+        loss = float(np.mean(-(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
+        inside = (p > eps) & (p < 1.0 - eps)  # clamp is flat outside
+        dz = np.where(inside, p - t, 0.0) / (n * npix)
+        return loss, dz
+    # soft dice, per sample then averaged over the batch
+    smooth = 1.0
+    inter = (p * t).sum(axis=(1, 2, 3))
+    psum = p.sum(axis=(1, 2, 3))
+    tsum = t.sum(axis=(1, 2, 3))
+    num = 2.0 * inter + smooth
+    den = psum + tsum + smooth
+    loss = float(np.mean(1.0 - num / den))
+    # d/dp_i of -(2*inter+s)/den = -(2 t_i den - num) / den^2
+    dp = -(2.0 * t * den[:, None, None, None] - num[:, None, None, None]) / (den**2)[:, None, None, None]
+    dz = dp * p * (1.0 - p) / n
+    return loss, dz
+
+
 def padded_im2col(x):
     """Unfold 3x3 same-pad windows: (N, H, W, C) -> (N*H*W, 9*C)."""
     n, h, w, c = x.shape
@@ -338,9 +370,9 @@ def padded_loss_and_grads(tens, x, t, w, loss_kind):
     probs, cache = _padded_forward(tens, x)
     grads = {}
 
-    loss_l, dz_l = sg._head_loss_grad_batch(probs["lower"], t, loss_kind)
-    loss_m, dz_m = sg._head_loss_grad_batch(probs["middle"], t, loss_kind)
-    loss_f, dz_f = sg._head_loss_grad_batch(probs["final"], t, loss_kind)
+    loss_l, dz_l = _head_loss_grad_batch(probs["lower"], t, loss_kind)
+    loss_m, dz_m = _head_loss_grad_batch(probs["middle"], t, loss_kind)
+    loss_f, dz_f = _head_loss_grad_batch(probs["final"], t, loss_kind)
     total = w.alpha_l * loss_l + w.alpha_m * loss_m + w.alpha_f * loss_f
     dz_l = w.alpha_l * dz_l
     dz_m = w.alpha_m * dz_m

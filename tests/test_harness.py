@@ -578,6 +578,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: dataset {data_dir}: sample {bad!r} is {text}\n"
 
+    @pytest.mark.parametrize("name", ["\u00e9s00", "s0,0"])
+    def test_unreportable_sample_id_fails_before_any_file(self, tmp_path, capsys, monkeypatch, name):
+        from activeseg import harness, segmenter
+
+        data_dir = write_dataset(str(tmp_path / "data"), [32] * 24)
+        os.remove(os.path.join(data_dir, "manifest.txt"))  # ids come from the file names
+        for part in ("images", "masks"):
+            os.rename(os.path.join(data_dir, part, "s000.pgm"), os.path.join(data_dir, part, f"{name}.pgm"))
+        out_dir = str(tmp_path / "out")
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"dataset.kind=directory\ndataset.dir={data_dir}\nsplit.initial=4\nsplit.pool=10\nsplit.test=10\n"
+                     f"output.dir={out_dir}\n")
+
+        def reached(*args, **kw):
+            raise AssertionError("the check must come first")
+
+        monkeypatch.setattr(harness, "make_split", reached)
+        monkeypatch.setattr(segmenter, "train", reached)
+        assert cli.main(["run", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: dataset {data_dir}: sample id {name!r} must be ASCII without commas; reports write ids unquoted\n"
+        assert not os.path.exists(os.path.join(out_dir, "config_echo.txt"))
+
     def test_empty_dataset_reports_the_split(self, tmp_path, capsys):
         data_dir = write_dataset(str(tmp_path / "data"), [])
         cfg_path = str(tmp_path / "exp.cfg")

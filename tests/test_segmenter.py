@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ def random_instance(size=16, seed=0):
 def head_loss(p: ProbMap, target: BinaryMask, loss_kind: str = "cross_entropy") -> float:
     """The training loss kernel on (p, target) as a batch of one sample."""
     batch = p.values[None, :, :, None], target.values.astype(np.float64)[None, :, :, None]
-    return sg._head_loss_grad_batch(*batch, loss_kind)[0]
+    return sg._head_loss(*batch, loss_kind)
 
 
 def total_loss(pred: sg.MultiHeadPrediction, target: BinaryMask, w: LossWeights, loss_kind: str) -> float:
@@ -204,13 +205,17 @@ class TestLosses:
 
     def test_float32_clamp_is_finite_and_flat_at_the_ends(self):
         # float32 cannot hold 1 - 1e-8, so the clamp widens to stay below 1
-        p = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25], dtype=np.float32).reshape(1, 2, 3, 1)
-        t = np.array([0, 1, 1, 0, 1, 0], dtype=np.float32).reshape(1, 2, 3, 1)
-        loss, dz = sg._head_loss_grad_batch(p, t, "cross_entropy")
-        assert math.isfinite(loss)
-        clamped = (p == 0.0) | (p == 1.0)
-        assert not dz[clamped].any()
-        assert dz[~clamped].all()
+        p = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25, 0.75, 1.0] * 2, dtype=np.float32).reshape(1, 4, 4, 1)
+        t = np.array([0, 1, 1, 0, 1, 0, 1, 1] * 2, dtype=np.float32).reshape(1, 4, 4, 1)
+        assert math.isfinite(sg._head_loss(p, t, "cross_entropy"))
+        plan = sg._StepPlan.allocate(1, 4, 4, np.float32)
+        plan.probs[...] = p[:, None]
+        dz = plan._logit_grads(t, W, "cross_entropy")
+        clamped = np.broadcast_to((p == 0.0) | (p == 1.0), dz.shape[:1] + dz.shape[2:])
+        for k in range(3):
+            # +0.0 outside the clamp, as np.where writes it, also where p < t
+            assert not dz[:, k][clamped].any() and not np.signbit(dz[:, k][clamped]).any()
+            assert dz[:, k][~clamped].all()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -344,6 +349,36 @@ def assert_same_bytes(a, b):
         assert a[name].tobytes() == b[name].tobytes(), name
 
 
+def plateau_set(n, size, seed):
+    """Noise images, each with two L-shaped plateaus: where a pooling window
+    straddles a plateau's edge or its inner corner, two or three of its
+    activations are equal."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        img = rng.uniform(0, 1, (size, size))
+        for _ in range(2):
+            v = rng.uniform(0.3, 1.0)
+            y0, x0 = rng.integers(0, size // 2, 2)
+            hh, ww = rng.integers(size // 4, size // 2, 2)
+            img[y0 : y0 + hh, x0 : x0 + ww] = v
+            img[y0 + hh // 2 : y0 + hh + size // 4, x0 : x0 + ww // 2 + 1] = v
+        pairs.append((ImageGrid(img), BinaryMask((rng.uniform(0, 1, (size, size)) > 0.5).astype(int))))
+    return pairs
+
+
+def negative_partial_ties(x, dout):
+    """How many 2x2 pooling windows of x (N, H, W, C) have a positive maximum
+    held by exactly two, and by exactly three, of their four activations,
+    and a negative gradient dout (N, H/2, W/2, C) to route."""
+    n, h, w, c = x.shape
+    windows = x.reshape(n, h // 2, 2, w // 2, 2, c)
+    top = windows.max(axis=(2, 4))
+    ways = (windows == top[:, :, None, :, None]).sum(axis=(2, 4))
+    routed = (top > 0) & (dout < 0)
+    return int((routed & (ways == 2)).sum()), int((routed & (ways == 3)).sum())
+
+
 class TestConvWorkspace:
     """The step plan's conv data path against the padded-copy oracle, bit for bit."""
 
@@ -400,6 +435,54 @@ class TestConvWorkspace:
         params = kink_free_params()
         assert_same_bytes(train(params, [blank] * 3, cfg, W), oracles.padded_train(params, [blank] * 3, cfg, W))
 
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
+    def test_train_matches_padded_copy_with_partial_ties(self, loss_kind):
+        data = plateau_set(5, 32, seed=5)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, batch_size=2, loss_kind=loss_kind, seed=2)
+        assert_same_bytes(train(init_params(3), data, cfg, W), oracles.padded_train(init_params(3), data, cfg, W))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
+    def test_loss_and_grads_match_padded_copy_with_partial_ties(self, dtype, loss_kind):
+        pairs = plateau_set(2, 32, seed=5)
+        tensors = {name: arr.astype(dtype) for name, arr in init_params(3).tensors.items()}
+        x = np.stack([img.values for img, _ in pairs]).astype(dtype)[..., None]
+        t = np.stack([m.values for _, m in pairs]).astype(dtype)[..., None]
+        loss, grads = sg._loss_and_grads_batch(tensors, x, t, W, loss_kind)
+        ref_loss, ref_grads = oracles.padded_loss_and_grads(tensors, x, t, W, loss_kind)
+        assert loss == ref_loss
+        assert_same_bytes(grads, ref_grads)
+        # the case holds what it is for: 2- and 3-way ties that route a
+        # negative gradient, at both pooling stages
+        plan = sg._StepPlan.allocate(2, 32, 32, dtype)
+        np.copyto(plan.x, x)
+        plan.step(sg._param_views(sg._gemm_params(tensors, dtype)), sg._param_views(np.empty(sg._PARAM_SIZE, dtype)),
+                  t, W, loss_kind)
+        two, three = negative_partial_ties(plan.convs["enc1"].out, plan.bufs["enc2.dx"])
+        assert two > 0 and three > 0
+        assert negative_partial_ties(plan.convs["enc2"].out, plan.bufs["bottleneck.dx"])[0] > 0
+
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "soft_dice"])
+    def test_step_allocates_less_than_one_head_map(self, loss_kind):
+        """After the first step, a step works in its plan's buffers: at batch
+        2 and 32x32 it allocates less than one 8 KB head map."""
+        rng = np.random.default_rng(7)
+        plan = sg._StepPlan.allocate(2, 32, 32, np.float32)
+        np.copyto(plan.x, rng.uniform(0, 1, plan.x.shape))
+        np.copyto(plan.t, rng.uniform(0, 1, plan.t.shape) > 0.5)
+        flat = sg._gemm_params(init_params(1).tensors, np.float32)
+        params, grads = sg._param_views(flat), sg._param_views(np.empty_like(flat))
+        bufsize = np.getbufsize()
+        plan.step(params, grads, plan.t, W, loss_kind)
+        tracemalloc.start()
+        try:
+            plan.step(params, grads, plan.t, W, loss_kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < plan.probs[:, 0].nbytes == 8192
+        assert np.getbufsize() == bufsize  # the step's numpy setting stays inside it
+
     def test_successive_trains_at_two_sizes(self):
         params = init_params(2)
         cfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=2, loss_kind="cross_entropy", seed=4)
@@ -451,8 +534,8 @@ class TestConvWorkspace:
             plan = full.batch(n)
             np.copyto(plan.x, x)
             views = sg._param_views(np.empty_like(flat))
-            loss = plan.step(sg._param_views(flat), views, t, W, "cross_entropy")
-            grads = sg._canonical(views)
+            plan.step(sg._param_views(flat), views, t, W, "cross_entropy")
+            loss, grads = plan.loss(t, W, "cross_entropy"), sg._canonical(views)
             ref_loss, ref_grads = sg._loss_and_grads_batch(tensors, x, t, W, "cross_entropy")
             assert loss == ref_loss
             assert_same_bytes(grads, ref_grads)
