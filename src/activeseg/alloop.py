@@ -127,8 +127,18 @@ def evaluate(params: SegmenterParams, samples: Sequence[Sample]) -> Tuple[float,
     return float(np.mean([r_dsc for _, _, r_dsc in pairs])), tuple(pairs)
 
 
-def _score_pool(params: SegmenterParams, pool: Sequence[Sample]) -> list[SampleScores]:
-    return [selection.score_sample(segmenter.predict(params, s.image), s.id) for s in pool]
+def _score_pool(
+    params: SegmenterParams, pool: Sequence[Sample], keep_final: bool
+) -> Tuple[list[SampleScores], dict[str, ProbMap]]:
+    """The scores of every pool sample, from one forward pass each, and, if
+    keep_final, each sample's final map by id."""
+    scores, finals = [], {}
+    for s in pool:
+        pred = segmenter.predict(params, s.image)
+        scores.append(selection.score_sample(pred, s.id))
+        if keep_final:
+            finals[s.id] = pred.final
+    return scores, finals
 
 
 def _labeled_pairs(state: PoolState) -> list[tuple[ImageGrid, BinaryMask]]:
@@ -160,10 +170,13 @@ def run_iteration(
     # phase 1: query selection
     t0 = time.perf_counter()
     score_rows: list[Tuple[int, SampleScores, str]] = []
+    # the final map of each weak query, from the forward pass that scored it;
+    # no other sample's map outlives selection
+    weak_finals: dict[str, ProbMap] = {}
     if cfg.query_strategy == "random":
         split = _random_split(state, cfg)
     else:
-        scores = _score_pool(params, state.unlabeled)
+        scores, finals = _score_pool(params, state.unlabeled, keep_final=pseudo_enabled)
         split = selection.select_queries(
             scores,
             cfg.k_strong,
@@ -172,6 +185,8 @@ def run_iteration(
             pseudo_enabled,
             confidence_filter=cfg.confidence_filter,
         )
+        weak_finals = {sid: finals[sid] for sid in split.weak_ids}
+        del finals
         marks = {sid: "strong" for sid in split.strong_ids}
         marks.update({sid: "weak" for sid in split.weak_ids})
         for s in sorted(scores, key=lambda s: s.sample_id):
@@ -185,7 +200,7 @@ def run_iteration(
     weak_masks = []
     for sid in split.weak_ids:
         sample = by_id[sid]
-        prob = segmenter.predict(params, sample.image).final
+        prob = weak_finals.pop(sid)
         if cfg.ensemble_crf:
             if ensemble is None:
                 raise ValueError("pseudo-labeling requested but no ensemble was provided")

@@ -293,10 +293,21 @@ def mask_to_pgm(path: str, mask: BinaryMask) -> None:
 
 
 def dataset_ids(root: str) -> list[str]:
+    """The sample ids of a dataset directory: the lines of its manifest.txt,
+    which must be ASCII, or else the images/ listing in lexicographic order."""
     manifest = os.path.join(root, "manifest.txt")
     if os.path.exists(manifest):
-        with open(manifest, "r", encoding="ascii") as fh:
-            return [line.strip() for line in fh if line.strip()]
+        with open(manifest, "rb") as fh:
+            data = fh.read()
+        ids = []
+        for lineno, raw in enumerate(data.splitlines(), 1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{manifest}: line {lineno}: not ASCII text") from None
+            if line:
+                ids.append(line)
+        return ids
     image_dir = os.path.join(root, "images")
     names = [n[:-4] for n in os.listdir(image_dir) if n.endswith(".pgm")]
     return sorted(names)

@@ -6,16 +6,20 @@ a foreground-probability map.  Messages are passed through truncated
 kernels (radius 3 sigma, capped at the image extent); the all-pairs energy
 and mean-field step that check them live in ``tests/oracles.py``.
 
-The spatial kernel is a numpy separable filter in SciPy's summation order,
-equal bit for bit to ``ndimage.correlate1d``.  The bilateral range weights
-ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, for half
-of the offsets (the kernel is symmetric), as one dense flat array per
-offset row, and shared by both labels and every mean-field step.  A step
-adds each offset row's terms with one ordered np.add.reduce, in the same
-order as a loop over the offsets, so the floats are the same.  Its cost
-stays O(r**2 * H * W) for window radius r; the published
-SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
-bilateral grid or permutohedral lattice replaces the window.
+A decode keeps its field as two planes (2, H, W), background then
+foreground, so the softmax is maximum, exp, add and divide over whole
+planes, the same floats as reductions over a label axis.  The spatial
+kernel is a numpy separable filter in SciPy's summation order, equal bit
+for bit to ``ndimage.correlate1d``.  The bilateral range weights
+ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, in place
+in one dense flat buffer per offset row, for half of the offsets (the
+kernel is symmetric), and shared by both labels and every mean-field step.
+A step adds each offset row's terms into one label's plane with one
+ordered np.add.reduce over a 2-D block, in the same order as a loop over
+the offsets, so the floats are the same.  Its cost stays O(r**2 * H * W)
+for window radius r; the published SKIN_LESION_CENTER (r = 85 at 192x240)
+stays out of reach until a bilateral grid or permutohedral lattice
+replaces the window.
 """
 
 from __future__ import annotations
@@ -90,17 +94,27 @@ BONE_AGE_CENTER = CrfParams(
 )
 
 
+def _neg_unary(p: ProbMap) -> np.ndarray:
+    """The negated unary energies as planes (2, H, W): log(1 - p), then
+    log(p), each clipped to [UNARY_EPS, 1 - UNARY_EPS] first."""
+    planes = np.empty((2, *p.values.shape))
+    np.clip(1.0 - p.values, UNARY_EPS, 1.0 - UNARY_EPS, out=planes[0])
+    np.clip(p.values, UNARY_EPS, 1.0 - UNARY_EPS, out=planes[1])
+    return np.log(planes, out=planes)
+
+
 def unary_from_prob(p: ProbMap) -> np.ndarray:
     """Negative-log unary energies, shape (H, W, 2): [:, :, 0] background."""
-    fg = np.clip(p.values, UNARY_EPS, 1.0 - UNARY_EPS)
-    bg = np.clip(1.0 - p.values, UNARY_EPS, 1.0 - UNARY_EPS)
-    return np.stack([-np.log(bg), -np.log(fg)], axis=2)
+    return np.ascontiguousarray(np.negative(_neg_unary(p)).transpose(1, 2, 0))
 
 
 def _softmax2(neg_energy: np.ndarray) -> np.ndarray:
-    shifted = neg_energy - neg_energy.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=2, keepdims=True)
+    """Per-pixel softmax over the two planes of a (2, H, W) field.  The same
+    floats as reductions over a label axis: the max of two values is one of
+    them, and the sum of two is their one add."""
+    e = neg_energy - np.maximum(neg_energy[0], neg_energy[1])
+    np.exp(e, out=e)
+    return np.divide(e, e[0] + e[1], out=e)
 
 
 def _spatial_weights(sdims: float, radius: int) -> np.ndarray:
@@ -171,17 +185,24 @@ def _bilateral_table(image: np.ndarray, sdims: float, schan: float) -> list[np.n
     radius = _kernel_radius(sdims, image.shape)
     ry, rx = min(radius, h - 1), min(radius, w - 1)
     inv_spatial = 1.0 / (2.0 * sdims**2)
-    inv_chan = 1.0 / (2.0 * schan**2)
+    neg_inv_chan = -1.0 / (2.0 * schan**2)
     padded = np.pad(image, ((0, 0), (rx, rx)), constant_values=np.inf)
     # near[k, y, x] = image[y, x + dx] for dx = k - rx (inf off the raster)
     near = sliding_window_view(padded, 2 * rx + 1, axis=1).transpose(2, 0, 1)
+    dx = np.arange(-rx, rx + 1)
     table = []
     for dy in range(ry + 1):
         first = -rx if dy > 0 else 1
-        ws = np.array([np.exp(-(dy * dy + dx * dx) * inv_spatial) for dx in range(first, rx + 1)])
-        diff = image[: h - dy] - near[rx + first :, dy:]
-        weights = np.zeros((2 * rx + 1, h - dy, w))
-        np.multiply(ws[:, None, None], np.exp(-(diff**2) * inv_chan), out=weights[rx + first :])
+        shape = (2 * rx + 1, h - dy, w)
+        weights = np.empty(shape) if dy > 0 else np.zeros(shape)  # dy = 0: rows dx <= 0 stay 0
+        # exp(-(d**2) / 2 schan**2) as exp(d**2 * -(1 / 2 schan**2)): negating
+        # an operand of a product negates the rounded product exactly
+        block = np.subtract(image[: h - dy], near[rx + first :, dy:], out=weights[rx + first :])
+        np.square(block, out=block)
+        np.multiply(block, neg_inv_chan, out=block)
+        np.exp(block, out=block)
+        ws = np.exp(-(dy * dy + dx[rx + first :] ** 2) * inv_spatial)
+        np.multiply(block, ws[:, None, None], out=block)
         table.append(weights.reshape(2 * rx + 1, (h - dy) * w))
     return table
 
@@ -190,54 +211,56 @@ def _bilateral_messages(q: np.ndarray, table: list[np.ndarray]) -> np.ndarray:
     """Windowed bilateral sum_j k(i, j) q[l, j] for each channel l of q
     (shape (L, H, W)), excluding j = i.
 
-    Every pixel adds its terms in row-major offset order, one np.add.reduce
-    over axis 0 per offset row dy: plane 0 is the running sum, the planes
-    after it the terms of dx = -rx ... rx, added one after another.  The
-    recorded reference outcomes depend on those exact float bits.  Flat
-    reads that wrap into the next raster row meet zero weights; every term
-    is >= 0 and the sum starts at +0.0, so their +0.0 terms change no bit.
+    One channel at a time, every pixel adds its terms in row-major offset
+    order, one np.add.reduce over axis 0 of a 2-D block per offset row dy:
+    plane 0 is the running sum, the planes after it the terms of
+    dx = -rx ... rx, added one after another.  The recorded reference
+    outcomes depend on those exact float bits.  Flat reads that wrap into
+    the next raster row meet zero weights; every term is >= 0 and the sum
+    starts at +0.0, so their +0.0 terms change no bit.
     """
     n_ch, h, w = q.shape
     size = h * w
     width = table[0].shape[0]  # 2 rx + 1
     rx = width // 2
-    flat = q.reshape(n_ch, size)
     acc = np.zeros((n_ch, size))
     item = acc.itemsize
-    padded = np.zeros((n_ch, size + 2 * rx))
-    padded[:, rx : rx + size] = flat
-    # source[k, l, j] = q[l, j + dx] for dx = k - rx, zero off the flat raster
-    source = as_strided(padded, (width, n_ch, size), (item, padded.strides[0], item), writeable=False)
+    padded = np.zeros(size + 2 * rx)
+    # source[k, j] = q[l, j + dx] for dx = k - rx, zero off the flat raster
+    source = as_strided(padded, (width, size), (item, item), writeable=False)
+    scratch = np.empty((width + 1, size + width))
     # Products stored in plane p >= 1 from column rx + 1 are read back through
     # `shifted`, p columns to the right of plane 0: shifted by dx = p - 1 - rx,
     # with zeros beyond both ends.  The offset rows dy < 0 come first, growing in
-    # length, so no earlier row has written where a later one reads zeros.
-    scratch = np.zeros((width + 1, n_ch, size + width))
-    shifted = as_strided(
-        scratch, (width + 1, n_ch, size), (scratch.strides[0] + item, scratch.strides[1], item), writeable=False
-    )
-    # offsets -o, up to (0, -1): the term at pixel i is the product table[o] * q taken at pixel i - o
-    for dy in range(1 - len(table), 1):
-        weights = table[-dy][::-1] if dy < 0 else table[0][:rx:-1]
-        planes, pixels = weights.shape[0] + 1, weights.shape[1]
-        target = acc[:, size - pixels :]
-        np.multiply(weights[:, None, :], flat[None, :, :pixels], out=scratch[1:planes, :, rx + 1 : rx + 1 + pixels])
-        scratch[0, :, :pixels] = target
-        np.add.reduce(shifted[:planes, :, :pixels], axis=0, out=target)
-    # offsets o, from (0, 1) on: the term at pixel i is table[o] at i times q at i + o;
-    # these rows write over the zero border, so they come last
-    for dy in range(len(table)):
-        weights = table[dy] if dy > 0 else table[0][rx + 1 :]
-        planes, pixels = weights.shape[0] + 1, weights.shape[1]
-        near = source[width + 1 - planes :, :, dy * w : dy * w + pixels]
-        np.multiply(weights[:, None, :], near, out=scratch[1:planes, :, :pixels])
-        scratch[0, :, :pixels] = acc[:, :pixels]
-        np.add.reduce(scratch[:planes, :, :pixels], axis=0, out=acc[:, :pixels])
+    # length, so no earlier row has written where a later one reads zeros; the
+    # rows dy >= 0 write over those zeros, so each channel starts from a fill.
+    shifted = as_strided(scratch, (width + 1, size), (scratch.strides[0] + item, item), writeable=False)
+    for flat, out in zip(q.reshape(n_ch, size), acc):
+        padded[rx : rx + size] = flat
+        scratch.fill(0.0)
+        # offsets -o, up to (0, -1): the term at pixel i is the product table[o] * q taken at pixel i - o
+        for dy in range(1 - len(table), 1):
+            weights = table[-dy] if dy < 0 else table[0][rx + 1 :]
+            planes, pixels = weights.shape[0] + 1, weights.shape[1]
+            target = out[size - pixels :]
+            # mirrored offsets: the last weight row goes to plane 1
+            np.multiply(weights, flat[:pixels], out=scratch[planes - 1 : 0 : -1, rx + 1 : rx + 1 + pixels])
+            scratch[0, :pixels] = target
+            np.add.reduce(shifted[:planes, :pixels], axis=0, out=target)
+        # offsets o, from (0, 1) on: the term at pixel i is table[o] at i times q at i + o;
+        # these rows write over the zero border, so they come last
+        for dy in range(len(table)):
+            weights = table[dy] if dy > 0 else table[0][rx + 1 :]
+            planes, pixels = weights.shape[0] + 1, weights.shape[1]
+            near = source[width + 1 - planes :, dy * w : dy * w + pixels]
+            np.multiply(weights, near, out=scratch[1:planes, :pixels])
+            scratch[0, :pixels] = out[:pixels]
+            np.add.reduce(scratch[:planes, :pixels], axis=0, out=out[:pixels])
     return acc.reshape(n_ch, h, w)
 
 
 def _potts_messages(image: np.ndarray, params: CrfParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Map from a field q (H, W, 2) to its windowed Potts messages (H, W, 2).
+    """Map from a field q (2, H, W) to its windowed Potts messages (2, H, W).
 
     The bilateral weights depend only on the image and the parameters, so
     they are built here, once, and reused by every call.
@@ -248,22 +271,29 @@ def _potts_messages(image: np.ndarray, params: CrfParams) -> Callable[[np.ndarra
         table = _bilateral_table(image, params.bilateral_sdims, params.bilateral_schan)
 
     def windowed(q: np.ndarray) -> np.ndarray:
-        messages = np.zeros((h, w, 2))
-        # channel l holds the other label's marginal, which penalizes label l
-        other = np.ascontiguousarray(q[:, :, ::-1].transpose(2, 0, 1))
+        messages = np.zeros((2, h, w))
+        # plane l holds the other label's marginal, which penalizes label l
+        other = q[::-1]
         if params.gaussian_compat > 0.0:
-            messages += params.gaussian_compat * _gaussian_message(other, params.gaussian_sdims).transpose(1, 2, 0)
+            messages += params.gaussian_compat * _gaussian_message(other, params.gaussian_sdims)
         if table is not None:
-            messages += params.bilateral_compat * _bilateral_messages(other, table).transpose(1, 2, 0)
+            messages += params.bilateral_compat * _bilateral_messages(other, table)
         return messages
 
     return windowed
 
 
+def _step(q: np.ndarray, neg_unary: np.ndarray, messages: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """One mean-field update of the planar field q (2, H, W)."""
+    energy = messages(q)
+    return _softmax2(np.subtract(neg_unary, energy, out=energy))
+
+
 def infer(image: ImageGrid, p: ProbMap, params: CrfParams) -> BinaryMask:
     """Mean-field decode: init from unaries, run params.steps updates, argmax.
 
-    The messages' image-dependent weights are built once per call and shared
+    The field is two planes (2, H, W), background then foreground.  The
+    messages' image-dependent weights are built once per call and shared
     by every step.  The final field, which the argmax reads, must hold
     finite probabilities whose two labels sum to 1 within 1e-12 at every
     pixel.  Argmax ties resolve to foreground, so with zero pairwise weights
@@ -271,13 +301,13 @@ def infer(image: ImageGrid, p: ProbMap, params: CrfParams) -> BinaryMask:
     """
     if p.values.shape != image.values.shape:
         raise ValueError("field, image, and unary dimensions must agree")
-    unary = unary_from_prob(p)
+    neg_unary = _neg_unary(p)
     messages = _potts_messages(image.values, params)
-    q = _softmax2(-unary)
+    q = _softmax2(neg_unary)
     for _ in range(params.steps):
-        q = _softmax2(-unary - messages(q))
+        q = _step(q, neg_unary, messages)
     if not np.all(np.isfinite(q)) or q.min() < 0 or q.max() > 1:
         raise ValueError("marginals must be finite probabilities")
-    if np.abs(q.sum(axis=2) - 1.0).max() > 1e-12:
+    if np.abs(q[0] + q[1] - 1.0).max() > 1e-12:
         raise ValueError("per-pixel marginals must sum to 1 within 1e-12")
-    return BinaryMask((q[:, :, 1] >= q[:, :, 0]).astype(np.uint8))
+    return BinaryMask((q[1] >= q[0]).astype(np.uint8))

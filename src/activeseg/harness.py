@@ -511,6 +511,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
     samples = load_samples(cfg)
     _check_rasters(samples, cfg.dataset if isinstance(cfg.dataset, str) else "synthetic")
     split = make_split(samples, cfg)
+    del samples  # the samples no split group holds are freed before the loop
     _write_lines(os.path.join(cfg.output_dir, "config_echo.txt"), echo_config(cfg).splitlines())
 
     arms = {"method": cfg.al}

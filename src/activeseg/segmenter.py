@@ -23,19 +23,23 @@ size), middle on dec1 (NN x2), final on dec2.
 Passes run on a plan of preallocated buffers (``_ForwardPlan``,
 ``_StepPlan``) with the 3x3 kernels in their (9*C, O) gemm layout.  ``train``
 builds one step plan per call and runs every step as a fixed sequence of
-gemms and ``out=`` numpy calls on it; ``predict`` and ``backward`` build a
-plan per call.  A step computes gradients only, from the three head maps
-the plan holds in one (N, 3, H, W, 1) buffer; ``backward`` computes its
-loss value afterwards from those maps.  Every float equals that of the
-allocating reference loop in ``tests/oracles.py``.
+gemms and ``out=`` numpy calls on it; ``backward`` builds a plan per call.
+``predict`` keeps one float64 forward plan and one packed parameter vector
+on each ``SegmenterParams``, built on its first call and reused by the
+next; ``train`` drops them when it starts from that parameter set, so a
+model state never holds both plans at once.  A step computes gradients
+only, from the three head maps the plan holds in one (N, 3, H, W, 1)
+buffer; ``backward`` computes its loss value afterwards from those maps.
+Every float equals that of the allocating reference loop in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -68,9 +72,11 @@ PARAM_SHAPES: Dict[str, Tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class SegmenterParams:
-    """All trainable tensors, keyed by the canonical layout."""
+    """All trainable tensors, keyed by the canonical layout, and the
+    inference state ``predict`` builds from them on its first call."""
 
     tensors: Dict[str, np.ndarray]
+    _inference: Optional[_Inference] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.tensors) != set(PARAM_SHAPES):
@@ -408,14 +414,26 @@ class _ForwardPlan:
         return type(self)(self.store, n)
 
     @staticmethod
-    def _store(n, h, w, dtype) -> Dict[str, np.ndarray]:
+    def _store(n, h, w, dtype, shared_cols=True) -> Dict[str, np.ndarray]:
+        """The buffers of a plan.  A forward pass needs one conv's im2col
+        matrix at a time, so with shared_cols they are all views of one
+        buffer, sized for the largest; a step, whose backward pass reads
+        them all again, passes False."""
         store = {}
+        cols_shapes = {}
         for name in _CONVS:
             o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
             hh, ww = h // _CONV_SCALE[name], w // _CONV_SCALE[name]
             store[f"{name}.in"] = np.zeros((n, hh + 2, ww + 2, c), dtype)
-            store[f"{name}.cols"] = np.empty((n, hh, ww, 3, 3, c), dtype)
+            cols_shapes[name] = (n, hh, ww, 3, 3, c)
             store[f"{name}.out"] = np.empty((n, hh, ww, o), dtype)
+        if shared_cols:
+            cols = np.empty(max(math.prod(shape) for shape in cols_shapes.values()), dtype)
+            for name, shape in cols_shapes.items():
+                store[f"{name}.cols"] = cols[: math.prod(shape)].reshape(shape)
+        else:
+            for name, shape in cols_shapes.items():
+                store[f"{name}.cols"] = np.empty(shape, dtype)
         flat = (n, sum((h // factor) * (w // factor) for _, _, factor in _HEADS))
         for pool, act in (("pool1", "enc1"), ("pool2", "enc2")):
             hh, ww, c = store[f"{act}.out"].shape[1:]
@@ -493,7 +511,7 @@ class _StepPlan(_ForwardPlan):
 
     @staticmethod
     def _store(n, h, w, dtype):
-        store = _ForwardPlan._store(n, h, w, dtype)
+        store = _ForwardPlan._store(n, h, w, dtype, shared_cols=False)
         for name in _CONVS:
             o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
             hh, ww = h // _CONV_SCALE[name], w // _CONV_SCALE[name]
@@ -643,14 +661,36 @@ class _StepPlan(_ForwardPlan):
 # ---------------------------------------------------------------------------
 
 
+class _Inference:
+    """What ``predict`` reuses across its calls on one parameter set: the
+    float64 parameters packed in gemm layout, and a single-image forward
+    plan for the raster size of the last call."""
+
+    def __init__(self, tensors: Dict[str, np.ndarray]):
+        self.params = _param_views(_gemm_params(tensors, np.float64))
+        self.plan: Optional[_ForwardPlan] = None
+
+    def plan_for(self, h: int, w: int) -> _ForwardPlan:
+        if self.plan is None or self.plan.probs.shape[2:4] != (h, w):
+            self.plan = None  # free the old buffers before allocating new ones
+            self.plan = _ForwardPlan.allocate(1, h, w, np.float64)
+        return self.plan
+
+
 def predict(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
     """Three probability maps at input resolution for one image of any size:
     one forward pass over the image edge-padded to multiples of 4, cropped
-    back."""
+    back.  The pass runs on the plan kept on params (built by the first
+    call); the maps are copies, so a later call changes no earlier result.
+    Calls on one parameter set must not overlap."""
     padded, (h, w) = pad_to_multiple(image.values, 4)
-    plan = _ForwardPlan.allocate(1, padded.shape[0], padded.shape[1], np.float64)
+    inference = params._inference
+    if inference is None:
+        inference = _Inference(params.tensors)
+        object.__setattr__(params, "_inference", inference)
+    plan = inference.plan_for(*padded.shape)
     plan.x[0, :, :, 0] = padded
-    probs = plan.forward(_param_views(_gemm_params(params.tensors, np.float64)))
+    probs = plan.forward(inference.params)
     lower, middle, final = (ProbMap(probs[0, k, :h, :w, 0]) for k in range(3))
     return MultiHeadPrediction(lower=lower, middle=middle, final=final)
 
@@ -706,7 +746,8 @@ def train(
     and their gradients are two flat float32 vectors, conv kernels in gemm
     layout, and the descent step updates them in place.  After each epoch a
     non-finite parameter raises ``TrainingDiverged``, naming the epoch and
-    the learning rate.
+    the learning rate.  Before it allocates its step plan it drops the
+    inference plan ``predict`` kept on params.
     """
     if len(labeled_set) == 0:
         raise ValueError("labeled set must be nonempty")
@@ -719,6 +760,7 @@ def train(
     if h % 4 != 0 or wdt % 4 != 0:
         raise ValueError(f"training images must have dimensions divisible by 4, got {h}x{wdt}")
 
+    object.__setattr__(params, "_inference", None)
     # images with the zero border of the first conv, so a batch is one gather
     images = np.zeros((len(labeled_set), h + 2, wdt + 2, 1), np.float32)
     images[:, 1:-1, 1:-1, 0] = np.stack([img.values for img, _ in labeled_set])

@@ -142,13 +142,20 @@ def per_offset_windowed_infer(image, unary, params):
 
 def windowed_step(q, image, unary, params):
     """One step of the package's decode, the update ``crf.infer`` repeats
-    params.steps times from ``initial_field(unary)``."""
-    return crf._softmax2(-unary - crf._potts_messages(image.values, params)(q))
+    params.steps times from ``initial_field(unary)``, on fields in the
+    (H, W, 2) layout of the references; ``crf.infer`` keeps its field as
+    planes (2, H, W)."""
+    planes = crf._step(
+        np.ascontiguousarray(q.transpose(2, 0, 1)),
+        np.negative(unary.transpose(2, 0, 1)),
+        crf._potts_messages(image.values, params),
+    )
+    return planes.transpose(1, 2, 0)
 
 
 def initial_field(unary):
-    """The field ``crf.infer`` starts from."""
-    return crf._softmax2(-unary)
+    """The field ``crf.infer`` starts from, in the (H, W, 2) layout."""
+    return crf._softmax2(np.negative(unary.transpose(2, 0, 1))).transpose(1, 2, 0)
 
 
 def _exact_kernel_matrices(image, params):

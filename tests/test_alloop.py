@@ -201,10 +201,10 @@ class TestRun:
             assert sum(1 for _, image in calls if image is s.image) == len(result.records) + 1
         weak = [sid for r in result.records for sid in r.weak_ids]
         assert weak, "test must exercise the weak-labeling path"
+        # the weak samples' maps come from the pass that scored them: no
+        # model state forwards any image twice
         counts = Counter((id(params), id(image)) for params, image in calls)
-        pool_ids = {id(s.image): s.id for s in split.pool}
-        repeated = [pool_ids.get(image, "not a pool sample") for (_, image), n in counts.items() for _ in range(n - 1)]
-        assert sorted(repeated) == sorted(weak)
+        assert max(counts.values()) == 1
 
     def test_correlation_pairs_are_the_evaluated_test_dsc(self):
         result = run_detailed(tiny_split(), tiny_config())

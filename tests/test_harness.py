@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import activeseg
-from activeseg import cli, harness
+from activeseg import alloop, cli, harness, segmenter
 from activeseg.core import BinaryMask, ImageGrid, Sample, binarize, load_dataset, save_dataset
 from activeseg.crf import CrfParams
 from activeseg.harness import (
@@ -104,7 +104,9 @@ def write_dataset(root, sizes, seed=0):
 
 
 def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
-    train = TrainConfig(epochs=1, learning_rate=0.3, batch_size=2, loss_kind="cross_entropy", seed=0)
+    """A 24-sample 16x16 experiment, on a schedule that trains far enough
+    for the model to segment: the test Dice of its base model is above 0."""
+    train = TrainConfig(epochs=3, learning_rate=0.5, batch_size=2, loss_kind="cross_entropy", seed=0)
     cfg = default_experiment()
     al = replace(
         cfg.al,
@@ -114,14 +116,14 @@ def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
         bins=5,
         pseudo_start_iter=1,
         train=train,
-        base_epochs=1,
+        base_epochs=32,
         crf_center=CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1),
         ensemble_size=3,
         ensemble_rounds=1,
         seed=0,
         **al_overrides,
     )
-    return replace(
+    cfg = replace(
         cfg,
         dataset=SyntheticSpec(n_samples=24, image_size=16, shape="ellipse",
                               noise_level=0.1, occlusion_prob=0.3, seed=0),
@@ -131,15 +133,11 @@ def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
         al=al,
         output_dir=str(tmp_path / "out"),
     )
-
-
-def reported_experiment(tmp_path) -> harness.ExperimentConfig:
-    """tiny_experiment on the default training schedule, which trains far
-    enough for the test Dice to vary: the rank correlation is defined, so
-    the run writes every report."""
-    cfg = tiny_experiment(tmp_path)
-    default = default_experiment().al
-    return replace(cfg, al=replace(cfg.al, train=default.train, base_epochs=default.base_epochs))
+    split = make_split(load_samples(cfg), cfg)
+    labeled = [(s.image, s.ground_truth) for s in split.initial]
+    base = segmenter.train(segmenter.init_params(al.seed), labeled, replace(train, epochs=al.base_epochs), al.loss_weights)
+    assert alloop.evaluate(base, split.test)[0] > 0.0
+    return cfg
 
 
 class TestConfigRoundtrip:
@@ -212,7 +210,7 @@ class TestConfigRoundtrip:
         with open(README, encoding="utf-8") as fh:
             section = fh.read().split("## Reports")[1].split("\n## ")[0]
         documented = set(re.findall(r"`([a-z_]+\.[a-z]+)`", section))
-        cfg = replace(reported_experiment(tmp_path), with_baseline=True)
+        cfg = replace(tiny_experiment(tmp_path), with_baseline=True)
         run_experiment(cfg)
         written = set(os.listdir(os.path.join(cfg.output_dir, "random")))
         written |= set(os.listdir(cfg.output_dir)) - {"random"}
@@ -266,7 +264,7 @@ output.dir=out
 
 class TestRunExperiment:
     def test_writes_reports(self, tmp_path):
-        cfg = reported_experiment(tmp_path)
+        cfg = tiny_experiment(tmp_path)
         results = run_experiment(cfg)
         out = cfg.output_dir
         for name in ("run_log.csv", "scores.csv", "correlation.csv",
@@ -287,8 +285,8 @@ class TestRunExperiment:
         assert all(r.weak_ids == () for r in results["random"].records)
 
     def test_csvs_are_deterministic(self, tmp_path):
-        cfg_a = reported_experiment(tmp_path / "a")
-        cfg_b = reported_experiment(tmp_path / "b")
+        cfg_a = tiny_experiment(tmp_path / "a")
+        cfg_b = tiny_experiment(tmp_path / "b")
         run_experiment(cfg_a)
         run_experiment(cfg_b)
         for name in ("run_log.csv", "scores.csv", "correlation.csv",
@@ -305,8 +303,11 @@ class TestRunExperiment:
         assert all(r.weak_ids == () for r in results["method"].records)
 
     def test_undefined_correlation_writes_the_summary_alone(self, tmp_path):
-        # one epoch leaves every test Dice at 0: the ranks are all tied
+        # one epoch per model state at learning rate 0.3 leaves every test
+        # Dice at 0: the ranks are all tied
         cfg = tiny_experiment(tmp_path)
+        train = replace(cfg.al.train, epochs=1, learning_rate=0.3)
+        cfg = replace(cfg, al=replace(cfg.al, train=train, base_epochs=1))
         run_experiment(cfg)
         with open(os.path.join(cfg.output_dir, "correlation_summary.csv")) as fh:
             assert fh.read() == "n_pairs,coefficient\n30,nan\n"
@@ -419,7 +420,7 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "correlation_summary.csv"))
 
     def test_report_reproduces_the_run_report(self, tmp_path):
-        cfg = reported_experiment(tmp_path)
+        cfg = tiny_experiment(tmp_path)
         run_experiment(cfg)
         out_dir = str(tmp_path / "rep")
         assert cli.main(["report", "--pairs", os.path.join(cfg.output_dir, "correlation.csv"), "--out", out_dir]) == 0
@@ -600,6 +601,26 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path]) == 1
         err = capsys.readouterr().err
         assert err == f"error: dataset {data_dir}: sample id {name!r} must be ASCII without commas; reports write ids unquoted\n"
+        assert not os.path.exists(os.path.join(out_dir, "config_echo.txt"))
+
+    def test_non_ascii_manifest_names_the_file_and_line(self, tmp_path, capsys):
+        data_dir = write_dataset(str(tmp_path / "data"), [32] * 24)
+        for part in ("images", "masks"):
+            os.rename(os.path.join(data_dir, part, "s000.pgm"), os.path.join(data_dir, part, "és00.pgm"))
+        manifest = os.path.join(data_dir, "manifest.txt")
+        with open(manifest, encoding="ascii") as fh:
+            ids = fh.read().split()
+        assert ids[0] == "s000"
+        ids[0] = "és00"
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{sid}\n" for sid in ids))
+        out_dir = str(tmp_path / "out")
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"dataset.kind=directory\ndataset.dir={data_dir}\nsplit.initial=4\nsplit.pool=10\nsplit.test=10\n"
+                     f"output.dir={out_dir}\n")
+        assert cli.main(["run", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: line 1: not ASCII text\n"
         assert not os.path.exists(os.path.join(out_dir, "config_echo.txt"))
 
     def test_empty_dataset_reports_the_split(self, tmp_path, capsys):

@@ -112,6 +112,40 @@ class TestForward:
                 assert got.shape == shape
                 assert got.tobytes() == whole[:h, :w].tobytes(), head
 
+    def test_predict_equals_padded_copy_forward(self):
+        # one parameter set across raster sizes: its plan is rebuilt for
+        # each new size, and the packed parameters are reused
+        rng = np.random.default_rng(6)
+        params = kink_free_params(seed=3, bias=0.05)
+        for shape in ((32, 32), (10, 13), (32, 32), (30, 29)):
+            img = ImageGrid(rng.uniform(0, 1, shape))
+            padded, (h, w) = pad_to_multiple(img.values, 4)
+            ref, _ = oracles._padded_forward(params.tensors, padded[None, :, :, None])
+            pred = predict(params, img)
+            for head in ("lower", "middle", "final"):
+                assert getattr(pred, head).values.tobytes() == ref[head][0, :h, :w, 0].tobytes(), (shape, head)
+
+    def test_later_predict_leaves_earlier_maps(self):
+        rng = np.random.default_rng(7)
+        params = init_params(2)
+        first_img, second_img = (ImageGrid(rng.uniform(0, 1, (16, 16))) for _ in range(2))
+        first = predict(params, first_img)
+        kept = [m.values.copy() for m in (first.lower, first.middle, first.final)]
+        second = predict(params, second_img)
+        assert not np.array_equal(second.final.values, kept[2])
+        for m, values in zip((first.lower, first.middle, first.final), kept):
+            assert np.array_equal(m.values, values)
+
+    def test_train_drops_the_inference_plan(self):
+        img, tgt = random_instance(16)
+        params = init_params(0)
+        before = predict(params, img)
+        assert params._inference is not None
+        train(params, [(img, tgt)], replace(TRAIN, epochs=1), W)
+        assert params._inference is None
+        after = predict(params, img)
+        assert after.final.values.tobytes() == before.final.values.tobytes()
+
 
 class TestLosses:
     def test_bce_at_half_is_ln2(self):
