@@ -76,6 +76,10 @@ class ALConfig:
             # a nan would never be reached and silently turn the early stop off
             raise ValueError(f"target_dsc must be a number in [0, 1], got {self.target_dsc!r}")
 
+    def pseudo_round(self, t: int) -> bool:
+        """Whether round t sends confident queries to the weak labeler."""
+        return self.pseudo_labels and self.query_strategy == "uncertainty" and t >= self.pseudo_start_iter
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -165,7 +169,7 @@ def run_iteration(
     if len(state.unlabeled) == 0:
         raise ValueError("unlabeled pool is empty; the loop is complete")
     t = state.iteration + 1
-    pseudo_enabled = cfg.pseudo_labels and t >= cfg.pseudo_start_iter
+    pseudo_enabled = cfg.pseudo_round(t)
 
     # phase 1: query selection
     t0 = time.perf_counter()
@@ -270,13 +274,7 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
     for t in range(1, cfg.iterations + 1):
         if len(state.unlabeled) == 0:
             break
-        needs_pseudo = (
-            cfg.pseudo_labels
-            and cfg.ensemble_crf
-            and cfg.query_strategy == "uncertainty"
-            and t >= cfg.pseudo_start_iter
-        )
-        if needs_pseudo and ensemble is None:
+        if cfg.pseudo_round(t) and cfg.ensemble_crf and ensemble is None:
             ensemble = _prepare_ensemble(state, params, cfg)
         state, params, record, rows = run_iteration(state, params, cfg, ensemble, split.test)
         records.append(record)
@@ -315,6 +313,4 @@ def _prepare_ensemble(state: PoolState, params: SegmenterParams, cfg: ALConfig) 
         (entry.sample.image, segmenter.predict(params, entry.sample.image).final, entry.mask)
         for entry in entries
     ]
-    return weaklabeler.greedy_finetune(
-        ensemble, validation, cfg.ensemble_rounds, cfg.perturb, cfg.seed
-    )
+    return weaklabeler.greedy_finetune(ensemble, validation, cfg.ensemble_rounds)

@@ -62,7 +62,7 @@ def _cmd_refine(args) -> int:
     if prob.values.shape != image.values.shape:
         (ph, pw), (ih, iw) = prob.values.shape, image.values.shape
         raise ValueError(f"{args.prob}: the map is {pw}x{ph} but the image {args.image} is {iw}x{ih}")
-    ensemble, _ = weaklabeler.load_ensemble(args.ensemble)
+    ensemble = weaklabeler.load_ensemble(args.ensemble)
     mask = weaklabeler.refine(ensemble, image, prob)
     mask_to_pgm(args.out, mask)
     print(f"wrote refined mask to {args.out}")

@@ -2,7 +2,7 @@
 
 Everything downstream (scoring, CRF refinement, the query loop) works on
 the value objects defined here.  All containers are immutable after
-construction so they can be shared freely across workers.
+construction.
 """
 
 from __future__ import annotations

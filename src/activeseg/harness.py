@@ -153,8 +153,8 @@ def load_samples(cfg: ExperimentConfig) -> list[Sample]:
 def _check_rasters(samples: Sequence[Sample], source: str) -> None:
     """Reject samples a run cannot train on or report: sides not divisible
     by 4 (the segmenter's two 2x2 pooling stages), more than one raster
-    size, or an id that is not ASCII or holds a comma (the reports write ids
-    unquoted into ASCII CSV files)."""
+    size, a mask of another size than its image, or an id that is not ASCII
+    or holds a comma (the reports write ids unquoted into ASCII CSV files)."""
     if not samples:
         return  # make_split reports the empty dataset
     h0, w0 = samples[0].image.values.shape
@@ -169,6 +169,9 @@ def _check_rasters(samples: Sequence[Sample], source: str) -> None:
                 f"dataset {source}: sample {s.id!r} is {h}x{w} but sample {samples[0].id!r} is {h0}x{w0}; "
                 "training needs one raster size"
             )
+        if s.ground_truth is not None and s.ground_truth.values.shape != (h, w):
+            mh, mw = s.ground_truth.values.shape
+            raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w} but its mask is {mh}x{mw}")
 
 
 def make_split(samples: Sequence[Sample], cfg: ExperimentConfig) -> DatasetSplit:
@@ -532,7 +535,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
         write_correlation_pairs(os.path.join(out, "correlation.csv"), result)
         save_params(os.path.join(out, "model.ckpt"), result.params)
         if result.ensemble is not None:
-            save_ensemble(os.path.join(out, "ensemble.txt"), result.ensemble, al_cfg.perturb)
+            save_ensemble(os.path.join(out, "ensemble.txt"), result.ensemble)
         if al_cfg.query_strategy == "uncertainty":
             write_scores_csv(os.path.join(out, "scores.csv"), result.score_rows)
         pairs = [(m, r) for _, _, m, r in result.correlation_pairs]

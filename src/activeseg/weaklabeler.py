@@ -31,10 +31,12 @@ class PerturbSpec:
 
 @dataclass(frozen=True)
 class CrfEnsemble:
-    """An odd number of CRF configurations plus the center they were drawn around."""
+    """An odd number of CRF configurations plus the center, perturbation
+    spec and seed they were drawn from."""
 
     members: Tuple[CrfParams, ...]
     center: CrfParams
+    spec: PerturbSpec
     rng_seed: int
 
     def __post_init__(self):
@@ -63,7 +65,7 @@ def build_ensemble(center: CrfParams, m: int, spec: PerturbSpec, seed: int) -> C
         raise ValueError(f"ensemble size must be odd and >= 1, got {m}")
     streams = np.random.SeedSequence(seed).spawn(m)
     members = tuple(perturb(center, spec, np.random.default_rng(s)) for s in streams)
-    return CrfEnsemble(members=members, center=center, rng_seed=seed)
+    return CrfEnsemble(members=members, center=center, spec=spec, rng_seed=seed)
 
 
 def majority_vote(masks: Sequence[BinaryMask]) -> BinaryMask:
@@ -92,11 +94,10 @@ def greedy_finetune(
     ensemble: CrfEnsemble,
     validation: Sequence[Tuple[ImageGrid, ProbMap, BinaryMask]],
     rounds: int,
-    spec: PerturbSpec,
-    seed: int,
 ) -> CrfEnsemble:
     """Re-center the ensemble on its best member until the vote beats the
-    mean member Dice on the validation set, for at most `rounds` rounds.
+    mean member Dice on the validation set, scoring at most `rounds`
+    ensembles: the input and the re-centered ones drawn with its spec.
 
     Keep-best semantics: of all candidate ensembles evaluated, the one with
     the highest validation vote Dice is returned, so the procedure never
@@ -106,8 +107,6 @@ def greedy_finetune(
         raise ValueError("greedy fine-tuning needs a nonempty validation set")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    if rounds == 0:
-        return ensemble
 
     truths = [gt for _, _, gt in validation]
     candidate = ensemble
@@ -126,11 +125,11 @@ def greedy_finetune(
         vote_dice = _mean_dice(vote_masks, truths)
         if vote_dice > best_dice:
             best, best_dice = candidate, vote_dice
-        if vote_dice >= float(np.mean(member_dices)):
+        if vote_dice >= float(np.mean(member_dices)) or r + 1 == rounds:
             break
         new_center = candidate.members[int(np.argmax(member_dices))]
-        regen_seed = int(np.random.SeedSequence([seed, r + 1]).generate_state(1)[0])
-        candidate = build_ensemble(new_center, len(candidate.members), spec, regen_seed)
+        regen_seed = int(np.random.SeedSequence([ensemble.rng_seed, r + 1]).generate_state(1)[0])
+        candidate = build_ensemble(new_center, len(candidate.members), ensemble.spec, regen_seed)
     return best
 
 
@@ -146,15 +145,15 @@ def _snapshot_key(field: str) -> str:
     return field.replace("_", ".", 1)
 
 
-def save_ensemble(path: str, ensemble: CrfEnsemble, spec: PerturbSpec) -> None:
+def save_ensemble(path: str, ensemble: CrfEnsemble) -> None:
     lines = [
         _SNAPSHOT_MAGIC,
         f"seed={ensemble.rng_seed}",
         f"members={len(ensemble.members)}",
         "[perturb]",
-        f"relative_sigma={spec.relative_sigma!r}",
-        f"floor={spec.floor!r}",
-        f"perturb_steps={spec.perturb_steps}",
+        f"relative_sigma={ensemble.spec.relative_sigma!r}",
+        f"floor={ensemble.spec.floor!r}",
+        f"perturb_steps={ensemble.spec.perturb_steps}",
     ]
     sections = [("center", ensemble.center)] + [(f"member {k}", m) for k, m in enumerate(ensemble.members)]
     for name, params in sections:
@@ -164,7 +163,7 @@ def save_ensemble(path: str, ensemble: CrfEnsemble, spec: PerturbSpec) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_ensemble(path: str) -> Tuple[CrfEnsemble, PerturbSpec]:
+def load_ensemble(path: str) -> CrfEnsemble:
     """Read a snapshot written by save_ensemble.  A malformed snapshot raises
     a ValueError naming the file and the missing or bad entry."""
     try:
@@ -176,7 +175,7 @@ def load_ensemble(path: str) -> Tuple[CrfEnsemble, PerturbSpec]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_snapshot(lines: list[str]) -> Tuple[CrfEnsemble, PerturbSpec]:
+def _parse_snapshot(lines: list[str]) -> CrfEnsemble:
     if not lines or lines[0] != _SNAPSHOT_MAGIC:
         raise ValueError("not an ensemble snapshot")
     sections: dict[str, dict[str, str]] = {"": {}}
@@ -217,4 +216,4 @@ def _parse_snapshot(lines: list[str]) -> Tuple[CrfEnsemble, PerturbSpec]:
     )
     center = params("center")
     members = tuple(params(f"member {k}") for k in range(m))
-    return CrfEnsemble(members=members, center=center, rng_seed=seed), spec
+    return CrfEnsemble(members=members, center=center, spec=spec, rng_seed=seed)

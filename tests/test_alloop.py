@@ -263,3 +263,11 @@ class TestConfigValidation:
         stripped = Sample(id="bare", image=data[0].image, ground_truth=None)
         with pytest.raises(ValueError):
             DatasetSplit(initial=(stripped,), pool=tuple(data[1:5]), test=(data[5],))
+
+
+@pytest.mark.parametrize("strategy", ["uncertainty", "random"])
+@pytest.mark.parametrize("pseudo_labels", [True, False])
+def test_pseudo_round_truth_table(strategy, pseudo_labels):
+    cfg = tiny_config(pseudo_start_iter=3, query_strategy=strategy, pseudo_labels=pseudo_labels)
+    expected = [pseudo_labels and strategy == "uncertainty" and t >= 3 for t in (1, 2, 3, 4)]
+    assert [cfg.pseudo_round(t) for t in (1, 2, 3, 4)] == expected

@@ -78,8 +78,8 @@ class TestParams:
     def test_text_roundtrip(self, tmp_path):
         p = CrfParams(29.93, 9.06, 28.19, 5.59, 9.46, 2)
         path = str(tmp_path / "ens.txt")
-        save_ensemble(path, CrfEnsemble(members=(p,), center=p, rng_seed=0), PerturbSpec(0.05, 1e-3, False))
-        assert load_ensemble(path)[0].members == (p,)
+        save_ensemble(path, CrfEnsemble(members=(p,), center=p, spec=PerturbSpec(0.05, 1e-3, False), rng_seed=0))
+        assert load_ensemble(path).members == (p,)
 
     def test_published_centers(self):
         assert SKIN_LESION_CENTER.steps == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -94,11 +95,13 @@ class TestGenerator:
 
 
 def write_dataset(root, sizes, seed=0):
-    """A directory dataset of random square images and masks, one per size."""
+    """A directory dataset of random square images and masks, one per size;
+    a size (n, m) gives an n-sided image an m-sided mask."""
     rng = np.random.default_rng(seed)
+    sides = [size if isinstance(size, tuple) else (size, size) for size in sizes]
     save_dataset(root, [
-        Sample(f"s{i:03d}", ImageGrid(rng.uniform(0, 1, (n, n))), BinaryMask((rng.uniform(0, 1, (n, n)) > 0.5).astype(int)))
-        for i, n in enumerate(sizes)
+        Sample(f"s{i:03d}", ImageGrid(rng.uniform(0, 1, (n, n))), BinaryMask((rng.uniform(0, 1, (m, m)) > 0.5).astype(int)))
+        for i, (n, m) in enumerate(sides)
     ])
     return root
 
@@ -320,7 +323,8 @@ class TestRunExperiment:
             params = load_params(os.path.join(out, "model.ckpt"))
             for layer in PARAM_SHAPES:
                 assert params[layer].tobytes() == results[name].params[layer].tobytes(), (name, layer)
-        assert load_ensemble(os.path.join(cfg.output_dir, "ensemble.txt")) == (results["method"].ensemble, cfg.al.perturb)
+        assert load_ensemble(os.path.join(cfg.output_dir, "ensemble.txt")) == results["method"].ensemble
+        assert results["method"].ensemble.spec == cfg.al.perturb
         assert not os.path.exists(os.path.join(cfg.output_dir, "random", "ensemble.txt"))
 
     def test_no_ensemble_file_without_pseudo_labels(self, tmp_path):
@@ -401,7 +405,7 @@ class TestCli:
         image_to_pgm(img_path, ImageGrid(rng.uniform(0, 1, (16, 16))))
         write_pgm(prob_path, (rng.uniform(0, 1, (16, 16)) * 255).astype(np.uint8))
         ens_path = str(tmp_path / "ens.txt")
-        save_ensemble(ens_path, build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PERTURB, 0), PERTURB)
+        save_ensemble(ens_path, build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PERTURB, 0))
         out_path = str(tmp_path / "mask.pgm")
         rc = cli.main(["refine", "--image", img_path, "--prob", prob_path,
                        "--ensemble", ens_path, "--out", out_path])
@@ -559,6 +563,7 @@ class TestCli:
         ([30] * 24, "s000", "30x30; training needs sides divisible by 4"),
         ([32] * 5 + [28] + [32] * 18, "s005", "28x28 but sample 's000' is 32x32; training needs one raster size"),
         ([32] * 5 + [30] + [32] * 18, "s005", "30x30; training needs sides divisible by 4"),
+        ([32] * 5 + [(32, 28)] + [32] * 18, "s005", "32x32 but its mask is 28x28"),
     ])
     def test_bad_rasters_fail_before_the_split(self, tmp_path, capsys, monkeypatch, sizes, bad, text):
         from activeseg import harness, segmenter
@@ -641,8 +646,7 @@ class TestCli:
                  "ensemble": str(tmp_path / "ens.txt")}
         image_to_pgm(paths["image"], ImageGrid(rng.uniform(0, 1, (8, 8))))
         write_pgm(paths["prob"], (rng.uniform(0, 1, (8, 8)) * 255).astype(np.uint8))
-        save_ensemble(paths["ensemble"], build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PERTURB, 0),
-                      PERTURB)
+        save_ensemble(paths["ensemble"], build_ensemble(CrfParams(1.5, 0.3, 2.0, 0.15, 0.4, 1), 3, PERTURB, 0))
         return paths
 
     @staticmethod
@@ -786,6 +790,34 @@ def test_benchmark_wrapped_names_resolve(monkeypatch):
     assert callable(activeseg.dice)
     for name in ("default_experiment", "echo_config", "parse_config_text", "run_experiment"):
         assert callable(getattr(harness, name))
+
+
+def test_benchmark_reads_the_result_fields(monkeypatch, tmp_path):
+    """perfbench reads the records, the final pool and its entries by field
+    name, so a renamed field must fail here rather than abort a benchmark
+    run: a traced reference run, shrunk to a few seconds, gives every
+    per-layer metric BENCHMARK.json declares (the trace.* pair compares a
+    traced with an untraced run)."""
+    spans = load_perfbench(monkeypatch, "spans")
+    measures = load_perfbench(monkeypatch, "measures")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    tiny = {"split.initial": 12, "split.pool": 40, "split.test": 8, "al.iterations": 2, "al.k_strong": 4,
+            "al.k_weak": 4, "al.pseudo_start_iter": 1, "al.bins": 2, "train.base_epochs": 3,
+            "train.finetune_epochs": 1}
+    base = harness.echo_config(harness.default_experiment(seed=0))
+    cfg = harness.parse_config_text(workloads.config_text(base, "reference", str(tmp_path), tiny))
+    tracer = spans.Tracer("fields")
+    with spans.installed(tracer, spans.BOUNDARIES):
+        result = harness.run_experiment(cfg)["method"]
+    measures.check_expectations(tracer.spans, workloads.WORKLOADS["reference"].expect)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"] if not m["name"].startswith("trace.")}
+    assert set(measures.layer_metrics(tracer.spans, result.records)) == declared
+    outcome = measures.outcome(result, str(tmp_path))
+    assert len(outcome["rounds"]) == 2 and all(outcome["csv_sha256"].values())
+    (run_detailed,) = [s for s in tracer.spans if s.name == "alloop.run_detailed"]
+    assert measures.invariant_problems(outcome, cfg.al, run_detailed.counters["_pool_ids"]) == []
+    assert 0.0 <= measures.pseudo_label_dsc(result.final_pool, activeseg.dice) <= 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 39])

@@ -97,24 +97,24 @@ class TestEnsemble:
     def test_snapshot_roundtrip(self, tmp_path):
         ens = build_ensemble(CENTER, 5, SPEC, 3)
         path = str(tmp_path / "ens.txt")
-        save_ensemble(path, ens, SPEC)
-        loaded, spec = load_ensemble(path)
+        save_ensemble(path, ens)
+        loaded = load_ensemble(path)
         assert loaded == ens
-        assert spec == SPEC
+        assert loaded.spec == SPEC
 
     def test_snapshot_keeps_perturbed_steps(self, tmp_path):
         spec = replace(SPEC, relative_sigma=0.4, perturb_steps=True)
         ens = build_ensemble(CENTER, 7, spec, 3)
         assert {m.steps for m in ens.members} != {CENTER.steps}
         path = str(tmp_path / "ens.txt")
-        save_ensemble(path, ens, spec)
-        assert load_ensemble(path) == (ens, spec)
+        save_ensemble(path, ens)
+        assert load_ensemble(path) == ens
 
 
 class TestSnapshotFormat:
     def test_text_is_pinned(self, tmp_path):
         path = tmp_path / "ens.txt"
-        save_ensemble(str(path), build_ensemble(CENTER, 3, SPEC, 0), SPEC)
+        save_ensemble(str(path), build_ensemble(CENTER, 3, SPEC, 0))
         assert path.read_text(encoding="ascii") == SNAPSHOT
 
     def test_crf_keys_are_the_config_keys(self):
@@ -249,14 +249,14 @@ class TestGreedyFinetune:
 
     def test_zero_rounds_unchanged(self):
         ens = build_ensemble(CENTER, 3, SPEC, 0)
-        out = greedy_finetune(ens, self.validation_case(), 0, SPEC, 0)
+        out = greedy_finetune(ens, self.validation_case(), 0)
         assert out is ens
 
     def test_good_ensemble_returned_unchanged(self):
         # zero-sigma ensemble: vote equals every member, so vote dice can
         # never fall below the member mean and round 1 stops immediately
         ens = build_ensemble(CENTER, 3, replace(SPEC, relative_sigma=0.0), 0)
-        out = greedy_finetune(ens, self.validation_case(), 3, replace(SPEC, relative_sigma=0.0), 0)
+        out = greedy_finetune(ens, self.validation_case(), 3)
         assert out.members == ens.members
 
     def test_dominant_member_becomes_center(self):
@@ -265,25 +265,32 @@ class TestGreedyFinetune:
         # sane member must be picked as the new reference
         good = CENTER
         flood = CrfParams(6.0, 50.0, 6.0, 5.0, 50.0, 2)
-        ens = CrfEnsemble(members=(flood, good, flood), center=flood, rng_seed=0)
+        ens = CrfEnsemble(members=(flood, good, flood), center=flood,
+                          spec=replace(SPEC, relative_sigma=0.01), rng_seed=5)
         validation = self.validation_case()
-        out = greedy_finetune(ens, validation, 2, replace(SPEC, relative_sigma=0.01), seed=5)
+        out = greedy_finetune(ens, validation, 2)
         assert out.center == good
 
     def test_one_round_scores_only_the_input(self, monkeypatch):
         # R rounds score at most R ensembles, the input and R - 1 re-centred
-        # ones: with one round the flood ensemble above is decoded once per
-        # member and sample, and comes back as it went in
+        # ones, and build only those: with one round the flood ensemble above
+        # is decoded once per member and sample, and comes back as it went in
         from activeseg import weaklabeler
 
         flood = CrfParams(6.0, 50.0, 6.0, 5.0, 50.0, 2)
-        ens = CrfEnsemble(members=(flood, CENTER, flood), center=flood, rng_seed=0)
+        ens = CrfEnsemble(members=(flood, CENTER, flood), center=flood,
+                          spec=replace(SPEC, relative_sigma=0.01), rng_seed=5)
         validation = self.validation_case()
-        decodes = []
+        decodes, builds = [], []
         monkeypatch.setattr(weaklabeler, "infer", lambda *args: decodes.append(args) or infer(*args))
-        out = greedy_finetune(ens, validation, 1, replace(SPEC, relative_sigma=0.01), seed=5)
+        monkeypatch.setattr(weaklabeler, "build_ensemble",
+                            lambda *args: builds.append(args) or build_ensemble(*args))
+        out = greedy_finetune(ens, validation, 1)
         assert out is ens
         assert len(decodes) == 3 * len(validation)
+        assert builds == []
+        greedy_finetune(ens, validation, 2)
+        assert len(builds) == 1
 
     def test_never_regresses(self):
         rng = np.random.default_rng(9)
@@ -297,10 +304,10 @@ class TestGreedyFinetune:
         for seed in range(3):
             ens = build_ensemble(CENTER, 3, replace(SPEC, relative_sigma=0.2), seed)
             before = vote_dice(ens)
-            after = vote_dice(greedy_finetune(ens, validation, 2, SPEC, seed))
+            after = vote_dice(greedy_finetune(replace(ens, spec=SPEC), validation, 2))
             assert after >= before - 1e-12
 
     def test_empty_validation_rejected(self):
         ens = build_ensemble(CENTER, 3, SPEC, 0)
         with pytest.raises(ValueError):
-            greedy_finetune(ens, [], 1, SPEC, 0)
+            greedy_finetune(ens, [], 1)
