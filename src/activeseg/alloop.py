@@ -45,10 +45,9 @@ class ALConfig:
     ensemble_rounds: int
     seed: int
     query_strategy: str
-    # ablation switches: disable pseudo-labeling entirely, drop the
-    # confidence filter, or replace the CRF-ensemble weak labeler with the
-    # model's own thresholded prediction
-    pseudo_labels: bool
+    # ablation switches: drop the confidence filter, or replace the
+    # CRF-ensemble weak labeler with the model's own thresholded prediction
+    # (k_weak=0 turns pseudo-labeling off)
     confidence_filter: bool
     ensemble_crf: bool
     target_dsc: Optional[float]  # None: no early stop
@@ -78,7 +77,7 @@ class ALConfig:
 
     def pseudo_round(self, t: int) -> bool:
         """Whether round t sends confident queries to the weak labeler."""
-        return self.pseudo_labels and self.query_strategy == "uncertainty" and t >= self.pseudo_start_iter
+        return self.k_weak > 0 and self.query_strategy == "uncertainty" and t >= self.pseudo_start_iter
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def evaluate(params: SegmenterParams, samples: Sequence[Sample]) -> Tuple[float,
     pairs = []
     for s in samples:
         pred = segmenter.predict(params, s.image)
-        r_dsc = dice(binarize(pred.final, 0.5), s.require_ground_truth())
+        r_dsc = dice(binarize(pred.final), s.require_ground_truth())
         pairs.append((s.id, selection.score_sample(pred, s.id).mean_dsc, r_dsc))
     return float(np.mean([r_dsc for _, _, r_dsc in pairs])), tuple(pairs)
 
@@ -210,7 +209,7 @@ def run_iteration(
                 raise ValueError("pseudo-labeling requested but no ensemble was provided")
             weak_masks.append(weaklabeler.refine(ensemble, sample.image, prob))
         else:
-            weak_masks.append(binarize(prob, 0.5))
+            weak_masks.append(binarize(prob))
     phase2 = time.perf_counter() - t0
 
     # phase 3: update pool and fine-tune

@@ -148,9 +148,6 @@ class PoolState:
         if self.iteration < 0:
             raise ValueError("iteration counter must be nonnegative")
 
-    def unlabeled_ids(self) -> set[str]:
-        return {s.id for s in self.unlabeled}
-
     def provenance_counts(self) -> dict[str, int]:
         counts = {p: 0 for p in PROVENANCES}
         for entry in self.labeled:
@@ -176,11 +173,9 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     return 2.0 * inter / total
 
 
-def binarize(p: ProbMap, threshold: float = 0.5) -> BinaryMask:
-    """Threshold a probability map; pixels with p >= threshold become foreground."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold}")
-    return BinaryMask((p.values >= threshold).astype(np.uint8))
+def binarize(p: ProbMap) -> BinaryMask:
+    """Threshold a probability map; pixels with p >= 0.5 become foreground."""
+    return BinaryMask((p.values >= 0.5).astype(np.uint8))
 
 
 def move_to_labeled(

@@ -153,8 +153,9 @@ def load_samples(cfg: ExperimentConfig) -> list[Sample]:
 def _check_rasters(samples: Sequence[Sample], source: str) -> None:
     """Reject samples a run cannot train on or report: sides not divisible
     by 4 (the segmenter's two 2x2 pooling stages), more than one raster
-    size, a mask of another size than its image, or an id that is not ASCII
-    or holds a comma (the reports write ids unquoted into ASCII CSV files)."""
+    size, a missing mask (the simulated oracle may query any sample), a mask
+    of another size than its image, or an id that is not ASCII or holds a
+    comma (the reports write ids unquoted into ASCII CSV files)."""
     if not samples:
         return  # make_split reports the empty dataset
     h0, w0 = samples[0].image.values.shape
@@ -169,7 +170,9 @@ def _check_rasters(samples: Sequence[Sample], source: str) -> None:
                 f"dataset {source}: sample {s.id!r} is {h}x{w} but sample {samples[0].id!r} is {h0}x{w0}; "
                 "training needs one raster size"
             )
-        if s.ground_truth is not None and s.ground_truth.values.shape != (h, w):
+        if s.ground_truth is None:
+            raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w} but has no mask; every sample needs one")
+        if s.ground_truth.values.shape != (h, w):
             mh, mw = s.ground_truth.values.shape
             raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w} but its mask is {mh}x{mw}")
 
@@ -249,7 +252,6 @@ CONFIG_KEYS = (
     ConfigKey("ensemble.floor", float, 0.001, ("al.perturb.floor",)),
     ConfigKey("ensemble.perturb_steps", bool, False, ("al.perturb.perturb_steps",)),
     ConfigKey("ensemble.rounds", int, 3, ("al.ensemble_rounds",)),
-    ConfigKey("ablation.pseudo_labels", bool, True, ("al.pseudo_labels",)),
     ConfigKey("ablation.confidence_filter", bool, True, ("al.confidence_filter",)),
     ConfigKey("ablation.ensemble_crf", bool, True, ("al.ensemble_crf",)),
     ConfigKey("baseline.random", bool, False, ("with_baseline",)),
@@ -482,26 +484,25 @@ def _write_summary(out_dir: str, n_pairs: int, coeff: float) -> None:
     _write_lines(path, ["n_pairs,coefficient", f"{n_pairs},{fmt(coeff)}"])
 
 
-def report_correlation(pairs: Sequence[Tuple[float, float]], out_dir: Optional[str] = None) -> float:
+def report_correlation(pairs: Sequence[Tuple[float, float]], out_dir: str) -> float:
     """Rank-regression coefficient between quality proxy and real Dice.
 
     Needs at least 10 pairs and raises when the coefficient is undefined,
-    before any file is written.  With ``out_dir`` it then writes
-    correlation_ranks.csv (each raw pair with both descending ranks) and
-    correlation_summary.csv there.
+    before any file is written.  It then writes correlation_ranks.csv (each
+    raw pair with both descending ranks) and correlation_summary.csv under
+    ``out_dir``.
     """
     if len(pairs) < 10:
         raise ValueError(f"need at least 10 pairs for a correlation report, got {len(pairs)}")
     mean_dscs = [a for a, _ in pairs]
     r_dscs = [b for _, b in pairs]
     coeff = rank_correlation(mean_dscs, r_dscs)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        ranks = zip(pairs, descending_ranks(mean_dscs), descending_ranks(r_dscs))
-        _write_lines(os.path.join(out_dir, "correlation_ranks.csv"), ["mean_dsc,r_dsc,mean_dsc_rank,r_dsc_rank"] + [
-            f"{fmt(a)},{fmt(b)},{fmt(ra)},{fmt(rb)}" for (a, b), ra, rb in ranks
-        ])
-        _write_summary(out_dir, len(pairs), coeff)
+    os.makedirs(out_dir, exist_ok=True)
+    ranks = zip(pairs, descending_ranks(mean_dscs), descending_ranks(r_dscs))
+    _write_lines(os.path.join(out_dir, "correlation_ranks.csv"), ["mean_dsc,r_dsc,mean_dsc_rank,r_dsc_rank"] + [
+        f"{fmt(a)},{fmt(b)},{fmt(ra)},{fmt(rb)}" for (a, b), ra, rb in ranks
+    ])
+    _write_summary(out_dir, len(pairs), coeff)
     return coeff
 
 

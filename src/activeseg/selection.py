@@ -27,21 +27,23 @@ class SampleScores:
     sample_id: str
     l_dsc: float
     m_dsc: float
-    mean_dsc: float
-    uncertainty: float
     confidence: float
 
     def __post_init__(self):
-        for name in ("l_dsc", "m_dsc", "mean_dsc"):
+        for name in ("l_dsc", "m_dsc"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.mean_dsc != (self.l_dsc + self.m_dsc) / 2.0:
-            raise ValueError("mean_dsc must equal the mean of l_dsc and m_dsc")
-        if self.uncertainty != 1.0 - self.mean_dsc:
-            raise ValueError("uncertainty must equal 1 - mean_dsc")
         if not 0.0 <= self.confidence <= 0.5:
             raise ValueError(f"confidence must lie in [0, 0.5], got {self.confidence}")
+
+    @property
+    def mean_dsc(self) -> float:
+        return (self.l_dsc + self.m_dsc) / 2.0
+
+    @property
+    def uncertainty(self) -> float:
+        return 1.0 - self.mean_dsc
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,13 @@ def confidence(p: ProbMap) -> float:
     return float(np.mean(np.abs(p.values - 0.5)))
 
 
-def score_sample(pred: MultiHeadPrediction, sample_id: str = "") -> SampleScores:
+def score_sample(pred: MultiHeadPrediction, sample_id: str) -> SampleScores:
     """Agreement of the auxiliary heads with the final head, plus confidence."""
-    final_mask = binarize(pred.final, 0.5)
-    l_dsc = dice(binarize(pred.lower, 0.5), final_mask)
-    m_dsc = dice(binarize(pred.middle, 0.5), final_mask)
-    mean_dsc = (l_dsc + m_dsc) / 2.0
+    final_mask = binarize(pred.final)
     return SampleScores(
         sample_id=sample_id,
-        l_dsc=l_dsc,
-        m_dsc=m_dsc,
-        mean_dsc=mean_dsc,
-        uncertainty=1.0 - mean_dsc,
+        l_dsc=dice(binarize(pred.lower), final_mask),
+        m_dsc=dice(binarize(pred.middle), final_mask),
         confidence=confidence(pred.final),
     )
 
@@ -102,7 +99,7 @@ def select_queries(
     k_weak: int,
     bins: int,
     pseudo_enabled: bool,
-    confidence_filter: bool = True,
+    confidence_filter: bool,
 ) -> QuerySplit:
     """Top-k_strong most-uncertain samples for the oracle; among the rest,
     the k_weak most-certain samples passing the confidence filter for

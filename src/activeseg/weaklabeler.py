@@ -47,12 +47,15 @@ class CrfEnsemble:
 
 def perturb(center: CrfParams, spec: PerturbSpec, rng: np.random.Generator) -> CrfParams:
     """One member: every continuous hyperparameter drawn from a sharp normal
-    around its center value and floored to stay positive."""
+    around its center value and floored to stay positive.  A center value of
+    zero (a kernel switched off) stays zero; its draw is still taken, so the
+    other fields get the draws they would get otherwise."""
     fields = {}
     for name, kind in PARAM_TYPES.items():
         if kind is float:
             c = getattr(center, name)
-            fields[name] = max(spec.floor, float(rng.normal(c, spec.relative_sigma * c)))
+            draw = float(rng.normal(c, spec.relative_sigma * c))
+            fields[name] = max(spec.floor, draw) if c != 0 else 0.0
     steps = center.steps
     if spec.perturb_steps:
         steps = max(1, int(round(rng.normal(center.steps, spec.relative_sigma * center.steps))))

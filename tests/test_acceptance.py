@@ -48,7 +48,7 @@ def loop_study():
         study["dsal"][seed] = alloop.run_detailed(split, cfg.al)
         study["dsal_seconds"][seed] = time.perf_counter() - t0
         study["random"][seed] = alloop.run_detailed(split, replace(cfg.al, query_strategy="random"))
-        study["nopseudo"][seed] = alloop.run_detailed(split, replace(cfg.al, pseudo_labels=False))
+        study["nopseudo"][seed] = alloop.run_detailed(split, replace(cfg.al, k_weak=0))
         study["pseudo_raw"][seed] = alloop.run_detailed(
             split, replace(cfg.al, confidence_filter=False, ensemble_crf=False)
         )
@@ -147,7 +147,7 @@ class TestCriterion3DegenerateCrf:
             image = ImageGrid(rng.uniform(0, 1, (8, 6)))
             p = ProbMap(rng.uniform(0, 1, (8, 6)))
             out = infer(image, p, params)
-            mismatches += not np.array_equal(out.values, binarize(p, 0.5).values)
+            mismatches += not np.array_equal(out.values, binarize(p).values)
         check(3, mismatches == 0, f"{mismatches} mismatches over 100 random maps (exact equality)")
 
 
@@ -197,15 +197,13 @@ class TestCriterion6SelectionDeterminism:
                         sample_id=sid,
                         l_dsc=mean,
                         m_dsc=mean,
-                        mean_dsc=(mean + mean) / 2,
-                        uncertainty=1.0 - (mean + mean) / 2,
                         confidence=float(rng.uniform(0, 0.5)),
                     )
                 )
             k_s, k_w = int(rng.integers(0, 10)), int(rng.integers(0, 10))
             order = list(rng.permutation(n))
-            a = selection.select_queries(scores, k_s, k_w, 10, pseudo_enabled=True)
-            b = selection.select_queries([scores[i] for i in order], k_s, k_w, 10, pseudo_enabled=True)
+            a = selection.select_queries(scores, k_s, k_w, 10, pseudo_enabled=True, confidence_filter=True)
+            b = selection.select_queries([scores[i] for i in order], k_s, k_w, 10, pseudo_enabled=True, confidence_filter=True)
             ok = ok and a == b
             ok = ok and not (set(a.strong_ids) & set(a.weak_ids))
             ok = ok and len(a.strong_ids) <= k_s and len(a.weak_ids) <= k_w

@@ -266,8 +266,8 @@ class TestConfigValidation:
 
 
 @pytest.mark.parametrize("strategy", ["uncertainty", "random"])
-@pytest.mark.parametrize("pseudo_labels", [True, False])
-def test_pseudo_round_truth_table(strategy, pseudo_labels):
-    cfg = tiny_config(pseudo_start_iter=3, query_strategy=strategy, pseudo_labels=pseudo_labels)
-    expected = [pseudo_labels and strategy == "uncertainty" and t >= 3 for t in (1, 2, 3, 4)]
+@pytest.mark.parametrize("k_weak", [0, 2])
+def test_pseudo_round_truth_table(strategy, k_weak):
+    cfg = tiny_config(pseudo_start_iter=3, query_strategy=strategy, k_weak=k_weak)
+    expected = [k_weak > 0 and strategy == "uncertainty" and t >= 3 for t in (1, 2, 3, 4)]
     assert [cfg.pseudo_round(t) for t in (1, 2, 3, 4)] == expected

@@ -109,7 +109,7 @@ class TestGibbsEnergy:
     def test_zero_compat_is_unary_sum(self):
         rng = np.random.default_rng(0)
         image, p = random_case(rng, 4, 4)
-        y = binarize(p, 0.5)
+        y = binarize(p)
         params = CrfParams(1.0, 0.0, 1.0, 0.5, 0.0, 1)
         u = unary_from_prob(p)
         expected = sum(
@@ -248,7 +248,7 @@ class TestInfer:
         for _ in range(100):
             image, p = random_case(rng, 7, 5)
             out = infer(image, p, params)
-            np.testing.assert_array_equal(out.values, binarize(p, 0.5).values)
+            np.testing.assert_array_equal(out.values, binarize(p).values)
 
     def test_tie_goes_to_foreground(self):
         image = ImageGrid(np.full((2, 2), 0.5))

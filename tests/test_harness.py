@@ -69,7 +69,7 @@ class TestGenerator:
         for s in generate_synthetic(spec):
             from activeseg.core import ProbMap
 
-            recovered = binarize(ProbMap(s.image.values), 0.5)
+            recovered = binarize(ProbMap(s.image.values))
             np.testing.assert_array_equal(recovered.values, s.ground_truth.values)
 
     def test_foreground_fraction_bounds(self):
@@ -96,11 +96,12 @@ class TestGenerator:
 
 def write_dataset(root, sizes, seed=0):
     """A directory dataset of random square images and masks, one per size;
-    a size (n, m) gives an n-sided image an m-sided mask."""
+    a size (n, m) gives an n-sided image an m-sided mask, (n, None) no mask."""
     rng = np.random.default_rng(seed)
     sides = [size if isinstance(size, tuple) else (size, size) for size in sizes]
     save_dataset(root, [
-        Sample(f"s{i:03d}", ImageGrid(rng.uniform(0, 1, (n, n))), BinaryMask((rng.uniform(0, 1, (m, m)) > 0.5).astype(int)))
+        Sample(f"s{i:03d}", ImageGrid(rng.uniform(0, 1, (n, n))),
+               None if m is None else BinaryMask((rng.uniform(0, 1, (m, m)) > 0.5).astype(int)))
         for i, (n, m) in enumerate(sides)
     ])
     return root
@@ -124,8 +125,8 @@ def tiny_experiment(tmp_path, **al_overrides) -> harness.ExperimentConfig:
         ensemble_size=3,
         ensemble_rounds=1,
         seed=0,
-        **al_overrides,
     )
+    al = replace(al, **al_overrides)
     cfg = replace(
         cfg,
         dataset=SyntheticSpec(n_samples=24, image_size=16, shape="ellipse",
@@ -165,7 +166,7 @@ class TestConfigRoundtrip:
 
     @pytest.mark.parametrize("value", ["False", "false"])
     def test_booleans_in_any_case(self, value):
-        assert parse_config_text(f"ablation.pseudo_labels={value}\n").al.pseudo_labels is False
+        assert parse_config_text(f"ablation.ensemble_crf={value}\n").al.ensemble_crf is False
 
     def test_default_echo_is_pinned(self):
         assert echo_config(default_experiment("out", seed=0)) == DEFAULT_ECHO
@@ -256,7 +257,6 @@ ensemble.relative_sigma=0.05
 ensemble.floor=0.001
 ensemble.perturb_steps=False
 ensemble.rounds=3
-ablation.pseudo_labels=True
 ablation.confidence_filter=True
 ablation.ensemble_crf=True
 baseline.random=False
@@ -301,7 +301,7 @@ class TestRunExperiment:
             assert a == b, name
 
     def test_ablation_flags_off_means_oracle_only(self, tmp_path):
-        cfg = tiny_experiment(tmp_path, pseudo_labels=False)
+        cfg = tiny_experiment(tmp_path, k_weak=0)
         results = run_experiment(cfg)
         assert all(r.weak_ids == () for r in results["method"].records)
 
@@ -328,7 +328,7 @@ class TestRunExperiment:
         assert not os.path.exists(os.path.join(cfg.output_dir, "random", "ensemble.txt"))
 
     def test_no_ensemble_file_without_pseudo_labels(self, tmp_path):
-        cfg = tiny_experiment(tmp_path, pseudo_labels=False)
+        cfg = tiny_experiment(tmp_path, k_weak=0)
         assert run_experiment(cfg)["method"].ensemble is None
         assert os.path.exists(os.path.join(cfg.output_dir, "model.ckpt"))
         assert not os.path.exists(os.path.join(cfg.output_dir, "ensemble.txt"))
@@ -342,18 +342,18 @@ class TestReportCorrelation:
         with open(tmp_path / "correlation_ranks.csv") as fh:
             assert fh.readline().strip() == "mean_dsc,r_dsc,mean_dsc_rank,r_dsc_rank"
 
-    def test_shuffled_pairs_uncorrelated(self):
+    def test_shuffled_pairs_uncorrelated(self, tmp_path):
         rng = np.random.default_rng(0)
         coeffs = []
         for _ in range(30):
             a = rng.uniform(size=50)
             b = rng.permutation(a)
-            coeffs.append(report_correlation(list(zip(a, b))))
+            coeffs.append(report_correlation(list(zip(a, b)), str(tmp_path)))
         assert abs(np.mean(coeffs)) < 0.3
 
-    def test_too_few_pairs(self):
+    def test_too_few_pairs(self, tmp_path):
         with pytest.raises(ValueError):
-            report_correlation([(0.1, 0.2)] * 9)
+            report_correlation([(0.1, 0.2)] * 9, str(tmp_path))
 
     @pytest.mark.parametrize("pairs, text", [
         ([(0.5, i / 10) for i in range(10)], "rank correlation undefined: one of the lists is entirely tied"),
@@ -502,7 +502,7 @@ class TestCli:
         "seed=1.5",
         "dataset.seed=x",
         "split.pool=2.0",
-        "ablation.pseudo_labels=no",
+        "ablation.confidence_filter=no",
         "ensemble.perturb_steps=yes",
         "dataset.kind=Synthetic",
         "al.strategy=bad",
@@ -564,6 +564,7 @@ class TestCli:
         ([32] * 5 + [28] + [32] * 18, "s005", "28x28 but sample 's000' is 32x32; training needs one raster size"),
         ([32] * 5 + [30] + [32] * 18, "s005", "30x30; training needs sides divisible by 4"),
         ([32] * 5 + [(32, 28)] + [32] * 18, "s005", "32x32 but its mask is 28x28"),
+        ([32] * 5 + [(32, None)] + [32] * 18, "s005", "32x32 but has no mask; every sample needs one"),
     ])
     def test_bad_rasters_fail_before_the_split(self, tmp_path, capsys, monkeypatch, sizes, bad, text):
         from activeseg import harness, segmenter

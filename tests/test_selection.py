@@ -29,13 +29,8 @@ def scores_from(uncertainties, confidences=None, ids=None):
     ids = ids if ids is not None else [f"s{i:03d}" for i in range(n)]
     out = []
     for sid, u, c in zip(ids, uncertainties, confidences):
-        # derive fields the way the production scorer does, so the exact
-        # float identities (mean of heads, 1 - mean) hold
         mean = 1.0 - u
-        out.append(
-            SampleScores(sample_id=sid, l_dsc=mean, m_dsc=mean, mean_dsc=(mean + mean) / 2.0,
-                         uncertainty=1.0 - (mean + mean) / 2.0, confidence=c)
-        )
+        out.append(SampleScores(sample_id=sid, l_dsc=mean, m_dsc=mean, confidence=c))
     return out
 
 
@@ -87,11 +82,16 @@ class TestScoreSample:
 
     def test_invariants_validated(self):
         with pytest.raises(ValueError):
-            SampleScores("x", 0.5, 0.5, 0.6, 0.4, 0.2)  # mean wrong
-        with pytest.raises(ValueError):
-            SampleScores("x", 0.5, 0.5, 0.5, 0.4, 0.2)  # uncertainty wrong
-        with pytest.raises(ValueError):
-            SampleScores("x", 0.5, 0.5, 0.5, 0.5, 0.7)  # confidence out of range
+            SampleScores("x", 0.5, 0.5, 0.7)  # confidence out of range
+
+    def test_derived_scores_are_the_scorer_floats(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            l, m = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+            s = SampleScores("x", l, m, 0.25)
+            mean = (l + m) / 2.0
+            assert s.mean_dsc == mean
+            assert s.uncertainty == 1.0 - mean
 
 
 class TestConfidenceThreshold:
@@ -127,7 +127,7 @@ class TestConfidenceThreshold:
 class TestSelectQueries:
     def test_top_k_most_uncertain(self):
         scores = scores_from([0.1, 0.9, 0.5, 0.8, 0.2])
-        split = select_queries(scores, 2, 0, 10, pseudo_enabled=False)
+        split = select_queries(scores, 2, 0, 10, pseudo_enabled=False, confidence_filter=True)
         assert split.strong_ids == ("s001", "s003")
         assert split.weak_ids == ()
 
@@ -136,7 +136,7 @@ class TestSelectQueries:
         unc = [0.9, 0.8, 0.1, 0.2, 0.3, 0.4]
         conf = [0.10, 0.12, 0.45, 0.44, 0.20, 0.43]
         scores = scores_from(unc, conf)
-        split = select_queries(scores, 2, 2, 5, pseudo_enabled=True)
+        split = select_queries(scores, 2, 2, 5, pseudo_enabled=True, confidence_filter=True)
         assert split.strong_ids == ("s000", "s001")
         # t_conf = 0.10 + 0.8*0.35 = 0.38; passing: s002, s003, s005
         assert split.t_conf == pytest.approx(0.38)
@@ -144,14 +144,14 @@ class TestSelectQueries:
 
     def test_all_fail_filter(self):
         scores = scores_from([0.5, 0.6, 0.7], [0.2, 0.2, 0.2000001])
-        split = select_queries(scores, 1, 2, 10, pseudo_enabled=True)
+        split = select_queries(scores, 1, 2, 10, pseudo_enabled=True, confidence_filter=True)
         # only the top-range sample passes, but it went to strong
         assert split.strong_ids == ("s002",)
         assert split.weak_ids == ()
 
     def test_pseudo_disabled(self):
         scores = scores_from([0.5, 0.6, 0.7], [0.4, 0.4, 0.4])
-        split = select_queries(scores, 1, 2, 10, pseudo_enabled=False)
+        split = select_queries(scores, 1, 2, 10, pseudo_enabled=False, confidence_filter=True)
         assert split.weak_ids == ()
         assert split.t_conf == math.inf
 
@@ -163,12 +163,12 @@ class TestSelectQueries:
 
     def test_ties_break_by_id(self):
         scores = scores_from([0.5, 0.5, 0.5, 0.5], ids=["d", "b", "c", "a"])
-        split = select_queries(scores, 2, 0, 10, pseudo_enabled=False)
+        split = select_queries(scores, 2, 0, 10, pseudo_enabled=False, confidence_filter=True)
         assert split.strong_ids == ("a", "b")
 
     def test_short_pool_takes_all(self):
         scores = scores_from([0.5, 0.6], [0.49, 0.48])
-        split = select_queries(scores, 5, 5, 10, pseudo_enabled=True)
+        split = select_queries(scores, 5, 5, 10, pseudo_enabled=True, confidence_filter=True)
         assert set(split.strong_ids) == {"s000", "s001"}
         assert split.weak_ids == ()
 
@@ -180,8 +180,8 @@ class TestSelectQueries:
             conf = rng.uniform(0, 0.5, n).round(2)
             scores = scores_from(list(unc), list(conf))
             k_s, k_w = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-            a = select_queries(scores, k_s, k_w, 10, pseudo_enabled=True)
-            b = select_queries(list(reversed(scores)), k_s, k_w, 10, pseudo_enabled=True)
+            a = select_queries(scores, k_s, k_w, 10, pseudo_enabled=True, confidence_filter=True)
+            b = select_queries(list(reversed(scores)), k_s, k_w, 10, pseudo_enabled=True, confidence_filter=True)
             assert a == b  # input order must not matter
             assert not (set(a.strong_ids) & set(a.weak_ids))
             assert len(a.strong_ids) <= k_s and len(a.weak_ids) <= k_w

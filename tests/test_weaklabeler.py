@@ -62,6 +62,12 @@ class TestPerturb:
             assert m.gaussian_sdims >= 1e-3
             assert m.bilateral_compat >= 1e-3
 
+    def test_zero_weight_stays_zero_and_keeps_the_other_draws(self):
+        on = build_ensemble(CENTER, 5, SPEC, 0)
+        off = build_ensemble(replace(CENTER, gaussian_compat=0.0), 5, SPEC, 0)
+        for a, b in zip(on.members, off.members):
+            assert b == replace(a, gaussian_compat=0.0)
+
     def test_steps_fixed_by_default(self):
         rng = np.random.default_rng(2)
         assert all(perturb(CENTER, SPEC, rng).steps == CENTER.steps for _ in range(20))
@@ -211,9 +217,10 @@ class TestRefine:
         rng = np.random.default_rng(6)
         off = CrfParams(1.0, 0.0, 1.0, 0.5, 0.0, 2)
         ens = build_ensemble(off, 3, replace(SPEC, relative_sigma=0.0), 0)
+        assert all(m.gaussian_compat == m.bilateral_compat == 0.0 for m in ens.members)
         image = ImageGrid(rng.uniform(0, 1, (8, 8)))
         p = ProbMap(rng.uniform(0, 1, (8, 8)))
-        np.testing.assert_array_equal(refine(ens, image, p).values, binarize(p, 0.5).values)
+        np.testing.assert_array_equal(refine(ens, image, p).values, binarize(p).values)
 
     def test_improves_noisy_square(self):
         rng = np.random.default_rng(7)
