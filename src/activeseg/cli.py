@@ -47,6 +47,7 @@ def _cmd_run(args) -> int:
 def _cmd_score(args) -> int:
     params = segmenter.load_params(args.checkpoint)
     samples = load_dataset(args.data)
+    harness.check_ids(samples, args.data)
     rows = []
     for s in samples:
         pred = segmenter.predict(params, s.image)

@@ -16,10 +16,14 @@ in one dense flat buffer per offset row, for half of the offsets (the
 kernel is symmetric), and shared by both labels and every mean-field step.
 A step adds each offset row's terms into one label's plane with one
 ordered np.add.reduce over a 2-D block, in the same order as a loop over
-the offsets, so the floats are the same.  Its cost stays O(r**2 * H * W)
-for window radius r; the published SKIN_LESION_CENTER (r = 85 at 192x240)
-stays out of reach until a bilateral grid or permutohedral lattice
-replaces the window.
+the offsets, so the floats are the same.  The table and the bilateral
+sums work in the dtype of the image they get: ``infer`` gives them a
+float32 copy, the precision of the segmenter that made the map, and casts
+the field to float32 for them once per step; the unaries, the field, the
+Gaussian message, the energies and the softmax stay float64.  Its cost
+stays O(r**2 * H * W) for window radius r; the published
+SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
+bilateral grid or permutohedral lattice replaces the window.
 """
 
 from __future__ import annotations
@@ -179,7 +183,8 @@ def _bilateral_table(image: np.ndarray, sdims: float, schan: float) -> list[np.n
     row-major.  It is exactly 0 where x + dx leaves the raster (an inf border
     makes exp give 0 there) and, for dy = 0, where dx <= 0.  The other half
     is the mirror image: k(i, i - o) = k(i - o, i) bit for bit, because
-    (a - b)**2 == (b - a)**2 in IEEE arithmetic.
+    (a - b)**2 == (b - a)**2 in IEEE arithmetic.  The entries have the
+    dtype of image.
     """
     h, w = image.shape
     radius = _kernel_radius(sdims, image.shape)
@@ -194,14 +199,15 @@ def _bilateral_table(image: np.ndarray, sdims: float, schan: float) -> list[np.n
     for dy in range(ry + 1):
         first = -rx if dy > 0 else 1
         shape = (2 * rx + 1, h - dy, w)
-        weights = np.empty(shape) if dy > 0 else np.zeros(shape)  # dy = 0: rows dx <= 0 stay 0
+        # dy = 0: rows dx <= 0 stay 0
+        weights = np.empty(shape, image.dtype) if dy > 0 else np.zeros(shape, image.dtype)
         # exp(-(d**2) / 2 schan**2) as exp(d**2 * -(1 / 2 schan**2)): negating
         # an operand of a product negates the rounded product exactly
         block = np.subtract(image[: h - dy], near[rx + first :, dy:], out=weights[rx + first :])
         np.square(block, out=block)
         np.multiply(block, neg_inv_chan, out=block)
         np.exp(block, out=block)
-        ws = np.exp(-(dy * dy + dx[rx + first :] ** 2) * inv_spatial)
+        ws = np.exp(-(dy * dy + dx[rx + first :] ** 2) * inv_spatial).astype(image.dtype)
         np.multiply(block, ws[:, None, None], out=block)
         table.append(weights.reshape(2 * rx + 1, (h - dy) * w))
     return table
@@ -217,18 +223,19 @@ def _bilateral_messages(q: np.ndarray, table: list[np.ndarray]) -> np.ndarray:
     dx = -rx ... rx, added one after another.  The recorded reference
     outcomes depend on those exact float bits.  Flat reads that wrap into
     the next raster row meet zero weights; every term is >= 0 and the sum
-    starts at +0.0, so their +0.0 terms change no bit.
+    starts at +0.0, so their +0.0 terms change no bit.  q and the table
+    share one dtype, the dtype of the sums.
     """
     n_ch, h, w = q.shape
     size = h * w
     width = table[0].shape[0]  # 2 rx + 1
     rx = width // 2
-    acc = np.zeros((n_ch, size))
+    acc = np.zeros((n_ch, size), q.dtype)
     item = acc.itemsize
-    padded = np.zeros(size + 2 * rx)
+    padded = np.zeros(size + 2 * rx, q.dtype)
     # source[k, j] = q[l, j + dx] for dx = k - rx, zero off the flat raster
     source = as_strided(padded, (width, size), (item, item), writeable=False)
-    scratch = np.empty((width + 1, size + width))
+    scratch = np.empty((width + 1, size + width), q.dtype)
     # Products stored in plane p >= 1 from column rx + 1 are read back through
     # `shifted`, p columns to the right of plane 0: shifted by dx = p - 1 - rx,
     # with zeros beyond both ends.  The offset rows dy < 0 come first, growing in
@@ -263,7 +270,9 @@ def _potts_messages(image: np.ndarray, params: CrfParams) -> Callable[[np.ndarra
     """Map from a field q (2, H, W) to its windowed Potts messages (2, H, W).
 
     The bilateral weights depend only on the image and the parameters, so
-    they are built here, once, and reused by every call.
+    they are built here, once, and reused by every call.  They and the
+    bilateral sums are in the dtype of image, the field cast to it once per
+    call; the Gaussian message and the messages returned are float64.
     """
     h, w = image.shape
     table = None
@@ -277,7 +286,8 @@ def _potts_messages(image: np.ndarray, params: CrfParams) -> Callable[[np.ndarra
         if params.gaussian_compat > 0.0:
             messages += params.gaussian_compat * _gaussian_message(other, params.gaussian_sdims)
         if table is not None:
-            messages += params.bilateral_compat * _bilateral_messages(other, table)
+            bilateral = _bilateral_messages(np.asarray(other, image.dtype), table)
+            messages += params.bilateral_compat * bilateral.astype(np.float64)
         return messages
 
     return windowed
@@ -294,15 +304,18 @@ def infer(image: ImageGrid, p: ProbMap, params: CrfParams) -> BinaryMask:
 
     The field is two planes (2, H, W), background then foreground.  The
     messages' image-dependent weights are built once per call and shared
-    by every step.  The final field, which the argmax reads, must hold
-    finite probabilities whose two labels sum to 1 within 1e-12 at every
-    pixel.  Argmax ties resolve to foreground, so with zero pairwise weights
-    the result equals thresholding the input map at 0.5.
+    by every step; the bilateral ones, and the bilateral sums, are float32,
+    the precision the segmenter runs in.  The unaries, the field, the
+    energies and the softmax stay float64.  The final field, which the
+    argmax reads, must hold finite probabilities whose two labels sum to 1
+    within 1e-12 at every pixel.  Argmax ties resolve to foreground, so
+    with zero pairwise weights the result equals thresholding the input map
+    at 0.5.
     """
     if p.values.shape != image.values.shape:
         raise ValueError("field, image, and unary dimensions must agree")
     neg_unary = _neg_unary(p)
-    messages = _potts_messages(image.values, params)
+    messages = _potts_messages(image.values.astype(np.float32), params)
     q = _softmax2(neg_unary)
     for _ in range(params.steps):
         q = _step(q, neg_unary, messages)

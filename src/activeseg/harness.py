@@ -150,18 +150,25 @@ def load_samples(cfg: ExperimentConfig) -> list[Sample]:
     return load_dataset(cfg.dataset)
 
 
+def check_ids(samples: Sequence[Sample], source: str) -> None:
+    """Reject an id that is not ASCII or holds a comma: the reports write
+    ids unquoted into ASCII CSV files."""
+    for s in samples:
+        if not s.id.isascii() or "," in s.id:
+            raise ValueError(f"dataset {source}: sample id {s.id!r} must be ASCII without commas; reports write ids unquoted")
+
+
 def _check_rasters(samples: Sequence[Sample], source: str) -> None:
-    """Reject samples a run cannot train on or report: sides not divisible
-    by 4 (the segmenter's two 2x2 pooling stages), more than one raster
-    size, a missing mask (the simulated oracle may query any sample), a mask
-    of another size than its image, or an id that is not ASCII or holds a
-    comma (the reports write ids unquoted into ASCII CSV files)."""
+    """Reject samples a run cannot train on or report: an id ``check_ids``
+    rejects, sides not divisible by 4 (the segmenter's two 2x2 pooling
+    stages), more than one raster size, a missing mask (the simulated
+    oracle may query any sample), or a mask of another size than its
+    image."""
+    check_ids(samples, source)
     if not samples:
         return  # make_split reports the empty dataset
     h0, w0 = samples[0].image.values.shape
     for s in samples:
-        if not s.id.isascii() or "," in s.id:
-            raise ValueError(f"dataset {source}: sample id {s.id!r} must be ASCII without commas; reports write ids unquoted")
         h, w = s.image.values.shape
         if h % 4 != 0 or w % 4 != 0:
             raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w}; training needs sides divisible by 4")

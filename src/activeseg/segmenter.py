@@ -24,14 +24,16 @@ Passes run on a plan of preallocated buffers (``_ForwardPlan``,
 ``_StepPlan``) with the 3x3 kernels in their (9*C, O) gemm layout.  ``train``
 builds one step plan per call and runs every step as a fixed sequence of
 gemms and ``out=`` numpy calls on it; ``backward`` builds a plan per call.
-``predict`` keeps one float64 forward plan and one packed parameter vector
-on each ``SegmenterParams``, built on its first call and reused by the
-next; ``train`` drops them when it starts from that parameter set, so a
-model state never holds both plans at once.  A step computes gradients
-only, from the three head maps the plan holds in one (N, 3, H, W, 1)
-buffer; ``backward`` computes its loss value afterwards from those maps.
-Every float equals that of the allocating reference loop in
-``tests/oracles.py``.
+``predict`` keeps one float32 forward plan and one packed float32
+parameter vector on each ``SegmenterParams``, built on its first call and
+reused by the next; ``train`` drops them when it starts from that
+parameter set, so a model state never holds both plans at once.  Training
+steps and inference both run in float32; ``backward`` runs its step in
+float64, the dtype of the parameters, for the gradient check.  A step
+computes gradients only, from the three head maps the plan holds in one
+(N, 3, H, W, 1) buffer; ``backward`` computes its loss value afterwards
+from those maps.  Every float, in either dtype, equals that of the
+allocating reference loop in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -663,26 +665,29 @@ class _StepPlan(_ForwardPlan):
 
 class _Inference:
     """What ``predict`` reuses across its calls on one parameter set: the
-    float64 parameters packed in gemm layout, and a single-image forward
-    plan for the raster size of the last call."""
+    parameters packed in gemm layout, and a single-image forward plan for
+    the raster size of the last call, both in float32, the precision
+    ``train`` descends in."""
 
     def __init__(self, tensors: Dict[str, np.ndarray]):
-        self.params = _param_views(_gemm_params(tensors, np.float64))
+        self.params = _param_views(_gemm_params(tensors, np.float32))
         self.plan: Optional[_ForwardPlan] = None
 
     def plan_for(self, h: int, w: int) -> _ForwardPlan:
         if self.plan is None or self.plan.probs.shape[2:4] != (h, w):
             self.plan = None  # free the old buffers before allocating new ones
-            self.plan = _ForwardPlan.allocate(1, h, w, np.float64)
+            self.plan = _ForwardPlan.allocate(1, h, w, np.float32)
         return self.plan
 
 
 def predict(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
     """Three probability maps at input resolution for one image of any size:
     one forward pass over the image edge-padded to multiples of 4, cropped
-    back.  The pass runs on the plan kept on params (built by the first
-    call); the maps are copies, so a later call changes no earlier result.
-    Calls on one parameter set must not overlap."""
+    back.  The pass runs in float32 on the plan kept on params (built by
+    the first call), on the image rounded to float32 as ``train`` rounds
+    it; the maps are float64 copies, exact widenings of the float32 ones,
+    so a later call changes no earlier result.  Calls on one parameter set
+    must not overlap."""
     padded, (h, w) = pad_to_multiple(image.values, 4)
     inference = params._inference
     if inference is None:

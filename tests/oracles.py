@@ -7,9 +7,10 @@ labeling; the package's windowed path must stay within 1e-3 of its step.
 The brute-force step is written as plain scalar loops and checks the exact
 one.  The per-offset windowed path recomputes each bilateral weight for
 every label, offset and step; the package's windowed path, which builds
-them once per decode, must match it bit for bit.  ``windowed_step`` and
-``initial_field`` are not references: they run the package's own code, the
-step ``crf.infer`` loops over, so no second copy of it exists.
+them once per decode, must match it bit for bit on its float64 path.
+``windowed_step``, ``windowed_infer`` and ``initial_field`` are not
+references: they run the package's own code, the step ``crf.infer`` loops
+over, so no second copy of it exists.
 
 The padded-copy training loop allocates its conv data afresh for every
 call: ``np.pad``, a sliding-window view and a transposed copy per im2col,
@@ -140,17 +141,29 @@ def per_offset_windowed_infer(image, unary, params):
     return (q[:, :, 1] >= q[:, :, 0]).astype(np.uint8)
 
 
-def windowed_step(q, image, unary, params):
+def windowed_step(q, image, unary, params, dtype=np.float64):
     """One step of the package's decode, the update ``crf.infer`` repeats
     params.steps times from ``initial_field(unary)``, on fields in the
     (H, W, 2) layout of the references; ``crf.infer`` keeps its field as
-    planes (2, H, W)."""
+    planes (2, H, W).  The bilateral weights and sums run in dtype:
+    ``crf.infer`` runs them in float32, and the default float64 path is the
+    one the references check to 1e-9 and bit for bit."""
     planes = crf._step(
         np.ascontiguousarray(q.transpose(2, 0, 1)),
         np.negative(unary.transpose(2, 0, 1)),
-        crf._potts_messages(image.values, params),
+        crf._potts_messages(image.values.astype(dtype), params),
     )
     return planes.transpose(1, 2, 0)
+
+
+def windowed_infer(image, unary, params):
+    """``crf.infer``'s decode on the float64 path: the mask of params.steps
+    ``windowed_step`` updates from ``initial_field(unary)``; ties go to
+    foreground."""
+    q = initial_field(unary)
+    for _ in range(params.steps):
+        q = windowed_step(q, image, unary, params)
+    return (q[:, :, 1] >= q[:, :, 0]).astype(np.uint8)
 
 
 def initial_field(unary):

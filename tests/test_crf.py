@@ -342,13 +342,16 @@ def bit_identity_params():
     )
 
 
+BIT_IDENTITY_SHAPES = [(1, 1), (1, 9), (8, 20), (17, 23), (32, 32), (3, 40), (40, 3), (64, 48)]
+
+
 class TestWindowedBitIdentity:
     """The windowed path against the earlier per-offset loop, kept in
     oracles.py with its offsets cut at each raster side as the window cuts
     them: same floats in the same order, so equal bit for bit, thin rasters
     included."""
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (8, 20), (17, 23), (32, 32), (3, 40), (40, 3), (64, 48)])
+    @pytest.mark.parametrize("shape", BIT_IDENTITY_SHAPES)
     def test_fields_and_masks_equal(self, shape):
         rng = np.random.default_rng(10)
         for params in bit_identity_params():
@@ -360,8 +363,62 @@ class TestWindowedBitIdentity:
                 ref = oracles.per_offset_windowed_step(q, image.values, u, params)
                 assert np.array_equal(ours, ref)
                 q = ours
+            mask = oracles.windowed_infer(image, u, params)
+            assert np.array_equal(mask, oracles.per_offset_windowed_infer(image.values, u, params))
+
+
+class TestFloat32Path:
+    """``crf.infer`` runs the bilateral weights and sums in float32 and
+    everything else in float64; the checks above run the float64 path."""
+
+    def test_step_close_to_exact(self):
+        # criterion 2's cases and bound
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            image = ImageGrid(rng.uniform(0, 1, (6, 6)))
+            p = ProbMap(rng.uniform(0, 1, (6, 6)))
+            params = CrfParams(
+                gaussian_sdims=rng.uniform(0.8, 3.0),
+                gaussian_compat=rng.uniform(0.0, 2.0),
+                bilateral_sdims=rng.uniform(0.8, 3.0),
+                bilateral_schan=rng.uniform(0.1, 0.6),
+                bilateral_compat=rng.uniform(0.0, 2.0),
+                steps=1,
+            )
+            u = unary_from_prob(p)
+            q = initial_field(u)
+            ours = windowed_step(q, image, u, params, np.float32)
+            assert ours.dtype == np.float64
+            assert np.abs(ours - meanfield_step(q, image, u, params)).max() < 1e-3
+
+    def test_kernels_run_in_the_image_dtype(self):
+        rng = np.random.default_rng(13)
+        image = rng.uniform(0, 1, (8, 20)).astype(np.float32)
+        table = crf_module._bilateral_table(image, 2.5, 0.15)
+        assert {t.dtype for t in table} == {np.dtype(np.float32)}
+        q = rng.uniform(0, 1, (2, 8, 20)).astype(np.float32)
+        assert crf_module._bilateral_messages(q, table).dtype == np.float32
+
+    def test_infer_builds_its_table_in_float32(self, monkeypatch):
+        seen, real = [], crf_module._bilateral_table
+
+        def spy(image, *args):
+            seen.append(image.dtype)
+            return real(image, *args)
+
+        monkeypatch.setattr(crf_module, "_bilateral_table", spy)
+        image, p = random_case(np.random.default_rng(14), 8, 8)
+        infer(image, p, DEFAULT_AL.crf_center)
+        assert seen == [np.float32]
+
+    @pytest.mark.parametrize("shape", BIT_IDENTITY_SHAPES)
+    def test_masks_equal_the_float64_path(self, shape):
+        rng = np.random.default_rng(10)
+        for params in bit_identity_params():
+            image, p = random_case(rng, *shape)
+            u = unary_from_prob(p)
             mask = infer(image, p, params)
-            assert np.array_equal(mask.values, oracles.per_offset_windowed_infer(image.values, u, params))
+            assert np.array_equal(mask.values, oracles.windowed_infer(image, u, params)), params
 
 
 GAUSSIAN_SDIMS = (0.7, 1.0, 1.3, 1.7, 2.2, 2.7, 3.3)

@@ -609,6 +609,20 @@ class TestCli:
         assert err == f"error: dataset {data_dir}: sample id {name!r} must be ASCII without commas; reports write ids unquoted\n"
         assert not os.path.exists(os.path.join(out_dir, "config_echo.txt"))
 
+    def test_score_rejects_an_unreportable_sample_id(self, tmp_path, capsys):
+        from activeseg.segmenter import init_params, save_params
+
+        rng = np.random.default_rng(0)
+        data_dir = str(tmp_path / "data")
+        save_dataset(data_dir, [Sample(sid, ImageGrid(rng.uniform(0, 1, (16, 16)))) for sid in ("a,b", "c")])
+        ckpt = str(tmp_path / "ckpt.bin")
+        save_params(ckpt, init_params(0))
+        out_csv = str(tmp_path / "scores.csv")
+        assert cli.main(["score", "--checkpoint", ckpt, "--data", data_dir, "--out", out_csv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: dataset {data_dir}: sample id 'a,b' must be ASCII without commas; reports write ids unquoted\n"
+        assert not os.path.exists(out_csv)
+
     def test_non_ascii_manifest_names_the_file_and_line(self, tmp_path, capsys):
         data_dir = write_dataset(str(tmp_path / "data"), [32] * 24)
         for part in ("images", "masks"):

@@ -33,15 +33,18 @@ def random_instance(size=16, seed=0):
     return img, tgt
 
 
-def head_loss(p: ProbMap, target: BinaryMask, loss_kind: str = "cross_entropy") -> float:
-    """The training loss kernel on (p, target) as a batch of one sample."""
-    batch = p.values[None, :, :, None], target.values.astype(np.float64)[None, :, :, None]
+def head_loss(p: ProbMap, target: BinaryMask, loss_kind: str = "cross_entropy", dtype=np.float64) -> float:
+    """The training loss kernel on (p, target) as a batch of one sample, in
+    dtype."""
+    batch = p.values.astype(dtype)[None, :, :, None], target.values.astype(dtype)[None, :, :, None]
     return sg._head_loss(*batch, loss_kind)
 
 
-def total_loss(pred: sg.MultiHeadPrediction, target: BinaryMask, w: LossWeights, loss_kind: str) -> float:
-    """The three head losses weighted as a training step weights them."""
-    lower, middle, final = (head_loss(m, target, loss_kind) for m in (pred.lower, pred.middle, pred.final))
+def total_loss(pred: sg.MultiHeadPrediction, target: BinaryMask, w: LossWeights, loss_kind: str,
+               dtype=np.float64) -> float:
+    """The three head losses weighted as a training step weights them, in
+    dtype."""
+    lower, middle, final = (head_loss(m, target, loss_kind, dtype) for m in (pred.lower, pred.middle, pred.final))
     return w.alpha_l * lower + w.alpha_m * middle + w.alpha_f * final
 
 
@@ -114,16 +117,20 @@ class TestForward:
 
     def test_predict_equals_padded_copy_forward(self):
         # one parameter set across raster sizes: its plan is rebuilt for
-        # each new size, and the packed parameters are reused
+        # each new size, and the packed parameters are reused; the pass runs
+        # in float32 and the maps are its exact float64 widenings
         rng = np.random.default_rng(6)
         params = kink_free_params(seed=3, bias=0.05)
+        tensors32 = {name: arr.astype(np.float32) for name, arr in params.tensors.items()}
         for shape in ((32, 32), (10, 13), (32, 32), (30, 29)):
             img = ImageGrid(rng.uniform(0, 1, shape))
             padded, (h, w) = pad_to_multiple(img.values, 4)
-            ref, _ = oracles._padded_forward(params.tensors, padded[None, :, :, None])
+            ref, _ = oracles._padded_forward(tensors32, padded.astype(np.float32)[None, :, :, None])
             pred = predict(params, img)
             for head in ("lower", "middle", "final"):
-                assert getattr(pred, head).values.tobytes() == ref[head][0, :h, :w, 0].tobytes(), (shape, head)
+                assert ref[head].dtype == np.float32
+                want = ref[head][0, :h, :w, 0].astype(np.float64)
+                assert getattr(pred, head).values.tobytes() == want.tobytes(), (shape, head)
 
     def test_later_predict_leaves_earlier_maps(self):
         rng = np.random.default_rng(7)
@@ -233,9 +240,14 @@ class TestLosses:
         w = LossWeights(0.2, 0.3, 0.5)
         x = img.values[None, :, :, None]
         t = tgt.values.astype(np.float64)[None, :, :, None]
-        trained_on = sg._loss_and_grads_batch(params.tensors, x, t, w, loss_kind)[0]
-        assert total_loss(predict(params, img), tgt, w, loss_kind) == trained_on
-        assert backward(params, img, tgt, w, loss_kind)[0] == trained_on
+        # predict runs the float32 forward of a training step; its maps,
+        # narrowed back exactly, give the float32 step's loss
+        tensors32 = {name: arr.astype(np.float32) for name, arr in params.tensors.items()}
+        step32 = sg._loss_and_grads_batch(tensors32, x.astype(np.float32), t.astype(np.float32), w, loss_kind)[0]
+        assert total_loss(predict(params, img), tgt, w, loss_kind, np.float32) == step32
+        # backward keeps the float64 step
+        step64 = sg._loss_and_grads_batch(params.tensors, x, t, w, loss_kind)[0]
+        assert backward(params, img, tgt, w, loss_kind)[0] == step64
 
     def test_float32_clamp_is_finite_and_flat_at_the_ends(self):
         # float32 cannot hold 1 - 1e-8, so the clamp widens to stay below 1
