@@ -8,6 +8,7 @@ pseudo-labeling active from iteration 3.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -49,6 +50,8 @@ class SyntheticSpec:
             raise ValueError("image_size must be a multiple of 4 and at least 8")
         if self.shape not in SHAPE_KINDS:
             raise ValueError(f"shape must be one of {SHAPE_KINDS}")
+        if not math.isfinite(self.noise_level):
+            raise ValueError(f"noise_level must be finite, got {self.noise_level!r}")
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
         if not 0.0 <= self.occlusion_prob <= 1.0:

@@ -24,6 +24,11 @@ Passes run on a plan of preallocated buffers (``_ForwardPlan``,
 ``_StepPlan``) with the 3x3 kernels in their (9*C, O) gemm layout.  ``train``
 builds one step plan per call and runs every step as a fixed sequence of
 gemms and ``out=`` numpy calls on it; ``backward`` builds a plan per call.
+A step plan keeps the backward's later scratch in the im2col matrices of
+dec2 and dec1, dead once their weight gradients, the backward's first two
+gemms, are taken: dec2's holds the input-gradient im2col matrices and gemm
+outputs, dec1's the routed max-pool gradients.  Bordered inputs keep
+memory of their own, since their zero border must last from step to step.
 ``predict`` keeps one float32 forward plan and one packed float32
 parameter vector on each ``SegmenterParams``, built on its first call and
 reused by the next; ``train`` drops them when it starts from that
@@ -196,22 +201,28 @@ def _gemm_shape(name: str) -> Tuple[int, ...]:
 
 def _act_key(name: str) -> str:
     """Names the activation shape of a conv (raster scale x channels); the
-    buffers of same-shaped activations and their gradients are shared."""
+    ReLU masks of same-shaped activations, and the bordered inputs of
+    same-shaped input-gradient convs, are shared."""
     return f"{_CONV_SCALE[name]}x{PARAM_SHAPES[f'{name}.kernel'][0]}"
 
 
 _PARAM_SIZE = sum(math.prod(shape) for shape in PARAM_SHAPES.values())
 
 
-def _param_views(flat: np.ndarray) -> Dict[str, np.ndarray]:
-    """name -> view of a flat parameter vector, conv kernels in gemm layout."""
-    views, offset = {}, 0
-    for name in PARAM_SHAPES:
-        shape = _gemm_shape(name)
+def _cut(buffer: np.ndarray, shapes: Dict[str, Tuple[int, ...]], start: int = 0) -> Dict[str, np.ndarray]:
+    """name -> a view of that shape of a contiguous buffer's memory, the
+    views laid end to end from element ``start``."""
+    flat, views, offset = buffer.reshape(-1), {}, start
+    for name, shape in shapes.items():
         size = math.prod(shape)
         views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     return views
+
+
+def _param_views(flat: np.ndarray) -> Dict[str, np.ndarray]:
+    """name -> view of a flat parameter vector, conv kernels in gemm layout."""
+    return _cut(flat, {name: _gemm_shape(name) for name in PARAM_SHAPES})
 
 
 def _gemm_params(tensors: Dict[str, np.ndarray], dtype) -> np.ndarray:
@@ -487,15 +498,28 @@ class _ForwardPlan:
 
 
 class _StepPlan(_ForwardPlan):
-    """A forward plan plus the buffers of the backward pass.  The four
-    input-gradient convs share their bordered inputs and im2col matrices by
-    shape (dec1's and enc2's match): no two of them are live at once."""
+    """A forward plan plus the buffers of the backward pass.
+
+    The backward's first two gemms take the weight gradients of dec2 and
+    dec1, after which their im2col matrices are dead, so the scratch the
+    rest of it writes lives there, in views cut end to end:
+
+    - dec2's matrix holds the four input-gradient im2col matrices, all at
+      its start (each is consumed by its gemm at once), then the four
+      input-gradient gemm outputs ``{dec2,dec1,bottleneck,enc2}.dx``, each
+      of its own, since their skip slices live until enc2 and enc1;
+    - dec1's matrix holds the two routed max-pool gradients.
+
+    Two kinds of buffer keep memory of their own: the bordered inputs,
+    whose zero border must last from step to step (the input-gradient convs
+    of dec1 and enc2, whose shapes match, share one), and every buffer
+    written before dec2's weight gradient."""
 
     def __init__(self, store, n):
         super().__init__(store, n)
         s = self.bufs
         self.dgrad = {
-            name: _Conv(s[f"dgrad{_act_key(name)}.in"], s[f"dgrad{_act_key(name)}.cols"], s[f"{name}.dx"])
+            name: _Conv(s[f"dgrad{_act_key(name)}.in"], s[f"dgrad.{name}.cols"], s[f"{name}.dx"])
             for name in _CONVS[1:]
         }
         # per input-gradient conv, the (9*O, C) gemm operand of its kernel
@@ -514,22 +538,27 @@ class _StepPlan(_ForwardPlan):
     @staticmethod
     def _store(n, h, w, dtype):
         store = _ForwardPlan._store(n, h, w, dtype, shared_cols=False)
+        dgrad_cols, dx = {}, {}
         for name in _CONVS:
             o, c = PARAM_SHAPES[f"{name}.kernel"][:2]
             hh, ww = h // _CONV_SCALE[name], w // _CONV_SCALE[name]
             key = _act_key(name)
             store[f"mask{key}"] = np.empty((n, hh, ww, o), bool)
             if name != "enc1":
-                store[f"{name}.dx"] = np.empty((n, hh, ww, c), dtype)
                 store[f"dgrad{key}.in"] = np.zeros((n, hh + 2, ww + 2, o), dtype)
-                store[f"dgrad{key}.cols"] = np.empty((n, hh, ww, 3, 3, o), dtype)
+                dgrad_cols[f"dgrad.{name}.cols"] = (n, hh, ww, 3, 3, o)
+                dx[f"{name}.dx"] = (n, hh, ww, c)
+        for cols_name, shape in dgrad_cols.items():
+            store.update(_cut(store["dec2.cols"], {cols_name: shape}))
+        store.update(_cut(store["dec2.cols"], dx, start=max(map(math.prod, dgrad_cols.values()))))
+        routed = {f"{pool}.routed": store[f"{act}.out"].shape for pool, act in (("pool1", "enc1"), ("pool2", "enc2"))}
+        store.update(_cut(store["dec1.cols"], routed))
         for head, feat, _ in _HEADS:
             store[f"dfeat.{head}"] = np.empty_like(store[f"{feat}.out"])
             store[f"dz.{head}"] = np.empty_like(store[f"{feat}.out"][..., :1])
         for head in ("lower", "middle"):
             store[f"up.{head}"] = np.empty_like(store[f"dfeat.{head}"])
-        for pool, act, pooled in (("pool1", "enc1", "enc2"), ("pool2", "enc2", "bottleneck")):
-            store[f"{pool}.routed"] = np.empty_like(store[f"{act}.out"])
+        for pool, pooled in (("pool1", "enc2"), ("pool2", "bottleneck")):
             window_shape = store[f"{pooled}.in"][:, 1:-1, 1:-1].shape
             store[f"{pool}.hit"] = np.empty(window_shape, bool)
             store[f"{pool}.free"] = np.empty(window_shape, bool)

@@ -5,6 +5,7 @@ best member when the vote underperforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -25,6 +26,8 @@ class PerturbSpec:
     def __post_init__(self):
         if not 0.0 <= self.relative_sigma < 0.5:
             raise ValueError("relative_sigma must lie in [0, 0.5) to stay sharp")
+        if not math.isfinite(self.floor):
+            raise ValueError(f"floor must be finite, got {self.floor!r}")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
 

@@ -522,6 +522,10 @@ class TestCli:
         "train.finetune_epochs=-1",
         "seed=-1",
         "dataset.seed=-1",
+        "dataset.noise_level=nan",
+        "dataset.noise_level=inf",
+        "ensemble.floor=nan",
+        "ensemble.floor=inf",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")
@@ -539,6 +543,12 @@ class TestCli:
     def test_negative_generate_seed_is_one_line_error(self, tmp_path, capsys):
         assert cli.main(["generate", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not os.path.exists(tmp_path / "data")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_generate_noise_is_one_line_error(self, tmp_path, capsys, value):
+        assert cli.main(["generate", "--out", str(tmp_path / "data"), "--noise", value]) == 1
+        assert capsys.readouterr().err == f"error: noise_level must be finite, got {value}\n"
         assert not os.path.exists(tmp_path / "data")
 
     @pytest.mark.parametrize("command, text", [

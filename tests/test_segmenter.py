@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -550,20 +551,43 @@ class TestConvWorkspace:
         assert loss == ref_loss
         assert_same_bytes(grads, ref_grads)
 
-    def test_input_grads_share_buffers_by_shape(self):
-        """The four input-gradient convs meet three raster shapes (dec1's and
-        enc2's match), so they hold three bordered inputs and three matrices."""
-        plan = sg._StepPlan.allocate(2, 16, 16, np.float32)
-        convs = plan.dgrad.values()
-        assert len(convs) == 4
-        for part in ("inner", "cols"):
-            distinct = []
-            for conv in convs:
-                if not any(np.shares_memory(getattr(conv, part), other) for other in distinct):
-                    distinct.append(getattr(conv, part))
-            assert len(distinct) == 3, part
-        assert np.shares_memory(plan.dgrad["dec1"].cols, plan.dgrad["enc2"].cols)
-        assert not np.shares_memory(plan.dgrad["dec1"].out, plan.dgrad["enc2"].out)
+    def test_backward_scratch_lives_in_consumed_im2col_matrices(self):
+        """The input-gradient matrices and outputs lie in dec2's im2col
+        matrix and the routed pooling gradients in dec1's, and no two
+        buffers live at the same time share memory.  Events of a step: 0
+        forward, 1 dec2's weight gradient, 2 its input gradient, 3 dec1's
+        weight gradient, 4 its input gradient, 5 bottleneck's, 6 pool2's
+        routing plus dec1's skip slice, 7 enc2's gradients, 8 pool1's
+        routing plus dec2's skip slice, 9 enc1's weight gradient."""
+        live = {
+            "dec2.cols": (0, 1),
+            "dec1.cols": (0, 3),
+            "dgrad.dec2.cols": (2, 2),
+            "dec2.dx": (2, 8),
+            "dgrad.dec1.cols": (4, 4),
+            "dec1.dx": (4, 6),
+            "dgrad.bottleneck.cols": (5, 5),
+            "bottleneck.dx": (5, 6),
+            "pool2.routed": (6, 7),
+            "dgrad.enc2.cols": (7, 7),
+            "enc2.dx": (7, 8),
+            "pool1.routed": (8, 9),
+        }
+        plan = sg._StepPlan.allocate(2, 32, 32, np.float32)
+        s = plan.store
+        for name in sg._CONVS[1:]:
+            assert np.shares_memory(s[f"dgrad.{name}.cols"], s["dec2.cols"])
+            assert np.shares_memory(s[f"{name}.dx"], s["dec2.cols"])
+        for pool in ("pool1", "pool2"):
+            assert np.shares_memory(s[f"{pool}.routed"], s["dec1.cols"])
+        for a, b in itertools.combinations(live, 2):
+            if live[a][0] <= live[b][1] and live[b][0] <= live[a][1]:
+                assert not np.shares_memory(s[a], s[b]), (a, b)
+        for name, arr in s.items():
+            if name not in live:
+                assert not any(np.shares_memory(arr, s[other]) for other in live), name
+        owners = {id(o): o.nbytes for o in (arr if arr.base is None else arr.base for arr in s.values())}
+        assert sum(owners.values()) <= 3.91 * 2**20
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_rows_leak_between_batches(self, dtype):
