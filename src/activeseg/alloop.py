@@ -1,10 +1,13 @@
 """The query / annotate / fine-tune loop.
 
-Each iteration scores the unlabeled pool with the current model, sends the
+Each round scores the unlabeled pool with the current model, sends the
 most uncertain samples to the simulated oracle and the most certain
-confident ones to the CRF weak labeler, folds both into the labeled set,
-and fine-tunes the model on it.  The weak-labeler ensemble is greedily
-fine-tuned once, at the first pseudo-labeling iteration, then frozen.
+confident ones to the weak labeler, folds both into the labeled set, and
+fine-tunes the model on it.  ``run_detailed`` owns the round number and
+the weak labeler: it builds the CRF ensemble and greedily fine-tunes it
+once, at the first pseudo-labeling round, then freezes it; without
+``ensemble_crf`` it passes no ensemble, and the round thresholds the
+model's own maps instead.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class IterationRecord:
     phase2_ms: float
     phase3_ms: float
     test_pairs: Tuple[DscPair, ...]  # of the fine-tuned model, one per test sample
+    scores: Tuple[SampleScores, ...]  # the pool's, in sample-id order; empty when the strategy does not score
 
     def __post_init__(self):
         if not 0.0 <= self.test_dsc <= 1.0:
@@ -106,7 +110,6 @@ class RunResult:
     params: SegmenterParams
     ensemble: Optional[CrfEnsemble]
     base_test_dsc: float
-    score_rows: Tuple[Tuple[int, SampleScores, str], ...]
     correlation_pairs: Tuple[Tuple[int, str, float, float], ...]  # (iter, id, mean_dsc, r_dsc)
     final_pool: PoolState
 
@@ -148,8 +151,8 @@ def _labeled_pairs(state: PoolState) -> list[tuple[ImageGrid, BinaryMask]]:
     return [(entry.sample.image, entry.mask) for entry in state.labeled]
 
 
-def _random_split(state: PoolState, cfg: ALConfig) -> QuerySplit:
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, state.iteration + 1]))
+def _random_split(state: PoolState, cfg: ALConfig, t: int) -> QuerySplit:
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
     ids = sorted(s.id for s in state.unlabeled)
     k = min(cfg.k_strong, len(ids))
     chosen = rng.choice(len(ids), size=k, replace=False)
@@ -160,24 +163,25 @@ def run_iteration(
     state: PoolState,
     params: SegmenterParams,
     cfg: ALConfig,
+    t: int,
     ensemble: Optional[CrfEnsemble],
     test_set: Sequence[Sample],
-) -> Tuple[PoolState, SegmenterParams, IterationRecord, list[Tuple[int, SampleScores, str]]]:
-    """One full query round; returns the new pool, fine-tuned params, the
-    iteration record, and the per-sample score rows for the CSV export."""
+) -> Tuple[PoolState, SegmenterParams, IterationRecord]:
+    """Query round t; returns the new pool, the fine-tuned params and the
+    round's record.  Weak queries are refined with ``ensemble``, or
+    thresholded when it is None."""
     if len(state.unlabeled) == 0:
         raise ValueError("unlabeled pool is empty; the loop is complete")
-    t = state.iteration + 1
     pseudo_enabled = cfg.pseudo_round(t)
 
     # phase 1: query selection
     t0 = time.perf_counter()
-    score_rows: list[Tuple[int, SampleScores, str]] = []
+    scores: list[SampleScores] = []
     # the final map of each weak query, from the forward pass that scored it;
     # no other sample's map outlives selection
     weak_finals: dict[str, ProbMap] = {}
     if cfg.query_strategy == "random":
-        split = _random_split(state, cfg)
+        split = _random_split(state, cfg, t)
     else:
         scores, finals = _score_pool(params, state.unlabeled, keep_final=pseudo_enabled)
         split = selection.select_queries(
@@ -190,10 +194,6 @@ def run_iteration(
         )
         weak_finals = {sid: finals[sid] for sid in split.weak_ids}
         del finals
-        marks = {sid: "strong" for sid in split.strong_ids}
-        marks.update({sid: "weak" for sid in split.weak_ids})
-        for s in sorted(scores, key=lambda s: s.sample_id):
-            score_rows.append((t, s, marks.get(s.sample_id, "none")))
     phase1 = time.perf_counter() - t0
 
     # phase 2: sample annotation
@@ -202,21 +202,14 @@ def run_iteration(
     strong_masks = [oracle_label(by_id[sid]) for sid in split.strong_ids]
     weak_masks = []
     for sid in split.weak_ids:
-        sample = by_id[sid]
         prob = weak_finals.pop(sid)
-        if cfg.ensemble_crf:
-            if ensemble is None:
-                raise ValueError("pseudo-labeling requested but no ensemble was provided")
-            weak_masks.append(weaklabeler.refine(ensemble, sample.image, prob))
-        else:
-            weak_masks.append(binarize(prob))
+        weak_masks.append(binarize(prob) if ensemble is None else weaklabeler.refine(ensemble, by_id[sid].image, prob))
     phase2 = time.perf_counter() - t0
 
     # phase 3: update pool and fine-tune
     t0 = time.perf_counter()
     new_state = move_to_labeled(state, split.strong_ids, strong_masks, "oracle")
     new_state = move_to_labeled(new_state, split.weak_ids, weak_masks, "pseudo")
-    new_state = new_state.advance_iteration()
     new_params = segmenter.train(params, _labeled_pairs(new_state), cfg.train, cfg.loss_weights)
     phase3 = time.perf_counter() - t0
 
@@ -232,8 +225,9 @@ def run_iteration(
         phase2_ms=phase2 * 1000.0,
         phase3_ms=phase3 * 1000.0,
         test_pairs=test_pairs,
+        scores=tuple(sorted(scores, key=lambda s: s.sample_id)),
     )
-    return new_state, new_params, record, score_rows
+    return new_state, new_params, record
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
     """Base-train on the initial labels, then iterate until the configured
     number of rounds, pool exhaustion, or the optional target Dice."""
     initial_masks = [oracle_label(s) for s in split.initial]
-    state = PoolState(labeled=(), unlabeled=tuple(split.initial) + tuple(split.pool), iteration=0)
+    state = PoolState(labeled=(), unlabeled=tuple(split.initial) + tuple(split.pool))
     state = move_to_labeled(state, [s.id for s in split.initial], initial_masks, "initial")
 
     base_train = replace(cfg.train, epochs=cfg.base_epochs)
@@ -268,16 +262,14 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
 
     ensemble: Optional[CrfEnsemble] = None
     records: list[IterationRecord] = []
-    score_rows: list[Tuple[int, SampleScores, str]] = []
 
     for t in range(1, cfg.iterations + 1):
         if len(state.unlabeled) == 0:
             break
         if cfg.pseudo_round(t) and cfg.ensemble_crf and ensemble is None:
             ensemble = _prepare_ensemble(state, params, cfg)
-        state, params, record, rows = run_iteration(state, params, cfg, ensemble, split.test)
+        state, params, record = run_iteration(state, params, cfg, t, ensemble, split.test)
         records.append(record)
-        score_rows.extend(rows)
         if cfg.target_dsc is not None and record.test_dsc >= cfg.target_dsc:
             break
 
@@ -286,7 +278,6 @@ def run_detailed(split: DatasetSplit, cfg: ALConfig) -> RunResult:
         params=params,
         ensemble=ensemble,
         base_test_dsc=base_dsc,
-        score_rows=tuple(score_rows),
         correlation_pairs=tuple((0, *pair) for pair in base_pairs)
         + tuple((r.iteration, *pair) for r in records for pair in r.test_pairs),
         final_pool=state,

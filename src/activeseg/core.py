@@ -2,14 +2,15 @@
 
 Everything downstream (scoring, CRF refinement, the query loop) works on
 the value objects defined here.  All containers are immutable after
-construction.
+construction.  A ``PoolState`` is the labeled set and the unlabeled pool
+only; the query loop keeps the round number.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -133,11 +134,10 @@ class LabeledEntry:
 
 @dataclass(frozen=True)
 class PoolState:
-    """Labeled set, unlabeled pool, and the iteration counter."""
+    """Labeled set and unlabeled pool."""
 
     labeled: tuple[LabeledEntry, ...]
     unlabeled: tuple[Sample, ...]
-    iteration: int = 0
 
     def __post_init__(self):
         labeled_ids = [e.sample.id for e in self.labeled]
@@ -145,17 +145,12 @@ class PoolState:
         all_ids = labeled_ids + unlabeled_ids
         if len(set(all_ids)) != len(all_ids):
             raise ValueError("sample ids must be unique and the two sets disjoint")
-        if self.iteration < 0:
-            raise ValueError("iteration counter must be nonnegative")
 
     def provenance_counts(self) -> dict[str, int]:
         counts = {p: 0 for p in PROVENANCES}
         for entry in self.labeled:
             counts[entry.provenance] += 1
         return counts
-
-    def advance_iteration(self) -> "PoolState":
-        return replace(self, iteration=self.iteration + 1)
 
 
 def dice(a: BinaryMask, b: BinaryMask) -> float:
@@ -186,8 +181,7 @@ def move_to_labeled(
 ) -> PoolState:
     """Move samples from the unlabeled pool into the labeled set.
 
-    Pure transition: the input pool is untouched.  The iteration counter is
-    preserved; the orchestrator advances it once per query round.
+    Pure transition: the input pool is untouched.
     """
     if len(ids) != len(masks):
         raise ValueError(f"got {len(ids)} ids but {len(masks)} masks")
@@ -202,7 +196,7 @@ def move_to_labeled(
     )
     moved = set(ids)
     remaining = tuple(s for s in pool.unlabeled if s.id not in moved)
-    return PoolState(labeled=pool.labeled + new_entries, unlabeled=remaining, iteration=pool.iteration)
+    return PoolState(labeled=pool.labeled + new_entries, unlabeled=remaining)
 
 
 def pad_to_multiple(values: np.ndarray, multiple: int) -> tuple[np.ndarray, tuple[int, int]]:

@@ -66,6 +66,8 @@ class CrfParams:
                     raise ValueError(f"{name} must be nonnegative")
             elif value <= 0:
                 raise ValueError(f"{name} must be positive")
+            elif not 0.0 < value * value < math.inf:  # the kernels divide by the squared scale
+                raise ValueError(f"{name} must have a finite nonzero square, got {value!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:

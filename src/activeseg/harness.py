@@ -19,7 +19,7 @@ from . import alloop
 from .alloop import ALConfig, DatasetSplit, RunResult
 from .core import BinaryMask, ImageGrid, Sample, check_seed, load_dataset, save_dataset
 from .crf import CrfParams
-from .segmenter import LossWeights, TrainConfig, TrainingDiverged, save_params
+from .segmenter import RASTER_MULTIPLE, LossWeights, TrainConfig, TrainingDiverged, save_params
 from .selection import SampleScores, descending_ranks, rank_correlation
 from .weaklabeler import PerturbSpec, save_ensemble
 
@@ -46,8 +46,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.image_size < 8 or self.image_size % 4 != 0:
-            raise ValueError("image_size must be a multiple of 4 and at least 8")
+        if self.image_size < 8 or self.image_size % RASTER_MULTIPLE != 0:
+            raise ValueError(f"image_size must be a multiple of {RASTER_MULTIPLE} and at least 8")
         if self.shape not in SHAPE_KINDS:
             raise ValueError(f"shape must be one of {SHAPE_KINDS}")
         if not math.isfinite(self.noise_level):
@@ -163,18 +163,20 @@ def check_ids(samples: Sequence[Sample], source: str) -> None:
 
 def _check_rasters(samples: Sequence[Sample], source: str) -> None:
     """Reject samples a run cannot train on or report: an id ``check_ids``
-    rejects, sides not divisible by 4 (the segmenter's two 2x2 pooling
-    stages), more than one raster size, a missing mask (the simulated
-    oracle may query any sample), or a mask of another size than its
-    image."""
+    rejects, sides not divisible by ``RASTER_MULTIPLE`` (the segmenter's
+    two 2x2 pooling stages), more than one raster size, a missing mask
+    (the simulated oracle may query any sample), or a mask of another size
+    than its image."""
     check_ids(samples, source)
     if not samples:
         return  # make_split reports the empty dataset
     h0, w0 = samples[0].image.values.shape
     for s in samples:
         h, w = s.image.values.shape
-        if h % 4 != 0 or w % 4 != 0:
-            raise ValueError(f"dataset {source}: sample {s.id!r} is {h}x{w}; training needs sides divisible by 4")
+        if h % RASTER_MULTIPLE != 0 or w % RASTER_MULTIPLE != 0:
+            raise ValueError(
+                f"dataset {source}: sample {s.id!r} is {h}x{w}; training needs sides divisible by {RASTER_MULTIPLE}"
+            )
         if (h, w) != (h0, w0):
             raise ValueError(
                 f"dataset {source}: sample {s.id!r} is {h}x{w} but sample {samples[0].id!r} is {h0}x{w0}; "
@@ -318,7 +320,12 @@ def _experiment(values: dict, given: Optional[dict] = None) -> ExperimentConfig:
             for name in sections:
                 node = node.setdefault(name, {})
             node[leaf] = value
-    return _build(tree, values if given is None else given)
+    cfg = _build(tree, values if given is None else given)
+    need = cfg.n_initial + cfg.n_pool + cfg.n_test
+    if kind == SYNTHETIC and cfg.dataset.n_samples < need:  # make_split counts a directory dataset
+        raise ValueError(f"dataset has {cfg.dataset.n_samples} samples but the split needs {need} "
+                         "(config key dataset.n_samples)")
+    return cfg
 
 
 def default_experiment(output_dir: Optional[str] = None, seed: Optional[int] = None) -> ExperimentConfig:
@@ -438,6 +445,16 @@ def write_correlation_pairs(path: str, result: RunResult) -> None:
     ])
 
 
+def _score_rows(result: RunResult) -> list[Tuple[int, SampleScores, str]]:
+    """The scores.csv rows of a run: each round's pool scores, marked
+    strong or weak when that round queried the sample, none otherwise."""
+    rows = []
+    for r in result.records:
+        marks = {**dict.fromkeys(r.strong_ids, "strong"), **dict.fromkeys(r.weak_ids, "weak")}
+        rows.extend((r.iteration, s, marks.get(s.sample_id, "none")) for s in r.scores)
+    return rows
+
+
 def write_scores_csv(path: str, rows: Sequence[Tuple[int, SampleScores, str]]) -> None:
     """Rows are (iteration, scores, selected_as) with selected_as in
     {strong, weak, none}; a bad mark raises before the file is opened."""
@@ -547,8 +564,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, RunResult]:
         save_params(os.path.join(out, "model.ckpt"), result.params)
         if result.ensemble is not None:
             save_ensemble(os.path.join(out, "ensemble.txt"), result.ensemble)
-        if al_cfg.query_strategy == "uncertainty":
-            write_scores_csv(os.path.join(out, "scores.csv"), result.score_rows)
+        rows = _score_rows(result)
+        if rows:  # a strategy that scores the pool scores at least one sample
+            write_scores_csv(os.path.join(out, "scores.csv"), rows)
         pairs = [(m, r) for _, _, m, r in result.correlation_pairs]
         try:
             report_correlation(pairs, out)

@@ -55,6 +55,8 @@ from .core import BinaryMask, ImageGrid, ProbMap, check_seed, pad_to_multiple
 
 EPS = 1e-8
 LOSS_KINDS = ("cross_entropy", "soft_dice")
+# the two 2x2 poolings need both raster sides divisible by this
+RASTER_MULTIPLE = 4
 
 # Canonical parameter layout; also fixes checkpoint ordering.
 PARAM_SHAPES: Dict[str, Tuple[int, ...]] = {
@@ -160,6 +162,8 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if self.learning_rate > float(np.finfo(np.float32).max):  # training descends in float32
+            raise ValueError(f"learning_rate must fit in float32, got {self.learning_rate!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0:
             raise ValueError("learning rate and batch size must be positive")
         if self.loss_kind not in LOSS_KINDS:
@@ -717,7 +721,7 @@ def predict(params: SegmenterParams, image: ImageGrid) -> MultiHeadPrediction:
     it; the maps are float64 copies, exact widenings of the float32 ones,
     so a later call changes no earlier result.  Calls on one parameter set
     must not overlap."""
-    padded, (h, w) = pad_to_multiple(image.values, 4)
+    padded, (h, w) = pad_to_multiple(image.values, RASTER_MULTIPLE)
     inference = params._inference
     if inference is None:
         inference = _Inference(params.tensors)
@@ -754,8 +758,8 @@ def backward(
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
     h, wdt = image.height, image.width
-    if h % 4 != 0 or wdt % 4 != 0:
-        raise ValueError(f"image dimensions must be divisible by 4, got {h}x{wdt}")
+    if h % RASTER_MULTIPLE != 0 or wdt % RASTER_MULTIPLE != 0:
+        raise ValueError(f"image dimensions must be divisible by {RASTER_MULTIPLE}, got {h}x{wdt}")
     if target.values.shape != image.values.shape:
         raise ValueError("target dimensions must match the image")
     x = image.values[None, :, :, None]
@@ -791,8 +795,8 @@ def train(
     if len(shapes) != 1:
         raise ValueError(f"training requires a single raster size, got {shapes}")
     h, wdt = next(iter(shapes))
-    if h % 4 != 0 or wdt % 4 != 0:
-        raise ValueError(f"training images must have dimensions divisible by 4, got {h}x{wdt}")
+    if h % RASTER_MULTIPLE != 0 or wdt % RASTER_MULTIPLE != 0:
+        raise ValueError(f"training images must have dimensions divisible by {RASTER_MULTIPLE}, got {h}x{wdt}")
 
     object.__setattr__(params, "_inference", None)
     # images with the zero border of the first conv, so a batch is one gather

@@ -30,6 +30,8 @@ class PerturbSpec:
             raise ValueError(f"floor must be finite, got {self.floor!r}")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
+        if not 0.0 < self.floor * self.floor < math.inf:  # a floored scale must pass CrfParams
+            raise ValueError(f"floor must have a finite nonzero square, got {self.floor!r}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from activeseg import alloop
 from activeseg.alloop import ALConfig, DatasetSplit, oracle_label, run_detailed, run_iteration
-from activeseg.core import BinaryMask, ImageGrid, PoolState, Sample, move_to_labeled
+from activeseg.core import BinaryMask, ImageGrid, PoolState, Sample, binarize, move_to_labeled
 from activeseg.crf import CrfParams
 from activeseg.harness import SyntheticSpec, default_experiment, generate_synthetic
 from activeseg.segmenter import TrainConfig, init_params
@@ -83,23 +83,26 @@ class TestRunIteration:
         split = tiny_split()
         state, params = self.setup_state(cfg, split)
         ensemble = alloop._prepare_ensemble(state, params, cfg)
-        new_state, _, record, _ = run_iteration(state, params, cfg, ensemble, split.test)
+        new_state, _, record = run_iteration(state, params, cfg, 1, ensemble, split.test)
         assert len(new_state.unlabeled) == len(state.unlabeled) - len(record.strong_ids) - len(record.weak_ids)
-        assert new_state.iteration == state.iteration + 1
+        assert len(new_state.labeled) == len(state.labeled) + len(record.strong_ids) + len(record.weak_ids)
+        assert record.weak_ids, "round 1 is a pseudo round here"
+        assert record.iteration == 1
         assert len(record.strong_ids) == cfg.k_strong
+        assert [s.sample_id for s in record.scores] == sorted(s.id for s in state.unlabeled)
 
     def test_no_pseudo_before_start(self):
         cfg = tiny_config(pseudo_start_iter=3)
         split = tiny_split()
         state, params = self.setup_state(cfg, split)
-        _, _, record, _ = run_iteration(state, params, cfg, None, split.test)
+        _, _, record = run_iteration(state, params, cfg, 1, None, split.test)
         assert record.weak_ids == ()
 
     def test_oversized_query_takes_all(self):
         cfg = tiny_config(k_strong=50, pseudo_start_iter=9)
         split = tiny_split()
         state, params = self.setup_state(cfg, split)
-        new_state, _, record, _ = run_iteration(state, params, cfg, None, split.test)
+        new_state, _, record = run_iteration(state, params, cfg, 1, None, split.test)
         assert len(record.strong_ids) == 12
         assert len(new_state.unlabeled) == 0
 
@@ -107,8 +110,8 @@ class TestRunIteration:
         cfg = tiny_config()
         split = tiny_split()
         state, params = self.setup_state(cfg, split)
-        a = run_iteration(state, params, cfg, None, split.test)
-        b = run_iteration(state, params, cfg, None, split.test)
+        a = run_iteration(state, params, cfg, 1, None, split.test)
+        b = run_iteration(state, params, cfg, 1, None, split.test)
         assert a[2].strong_ids == b[2].strong_ids
         assert a[2].test_dsc == b[2].test_dsc
 
@@ -116,9 +119,30 @@ class TestRunIteration:
         cfg = tiny_config()
         split = tiny_split(n_pool=3)
         state, params = self.setup_state(cfg, split)
-        state, params, _, _ = run_iteration(state, params, cfg, None, split.test)
+        state, params, _ = run_iteration(state, params, cfg, 1, None, split.test)
         with pytest.raises(ValueError, match="complete"):
-            run_iteration(state, params, cfg, None, split.test)
+            run_iteration(state, params, cfg, 2, None, split.test)
+
+    def test_pseudo_round_without_ensemble_thresholds_the_scoring_maps(self, monkeypatch):
+        cfg = tiny_config(pseudo_start_iter=1)
+        split = tiny_split()
+        state, params = self.setup_state(cfg, split)
+        finals = {}  # image id -> final map of each forward pass with the round's params
+        original = alloop.segmenter.predict
+
+        def spy(p, image):
+            pred = original(p, image)
+            if p is params:
+                finals[id(image)] = pred.final
+            return pred
+
+        monkeypatch.setattr(alloop.segmenter, "predict", spy)
+        new_state, _, record = run_iteration(state, params, cfg, 1, None, split.test)
+        pseudo = [e for e in new_state.labeled if e.provenance == "pseudo"]
+        assert pseudo, "test must exercise the weak-labeling path"
+        assert [e.sample.id for e in pseudo] == list(record.weak_ids)
+        for e in pseudo:
+            np.testing.assert_array_equal(e.mask.values, binarize(finals[id(e.sample.image)]).values)
 
 
 class TestRun:

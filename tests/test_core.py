@@ -117,7 +117,7 @@ def make_pool(n_unlabeled: int, n_labeled: int = 0) -> PoolState:
     img = ImageGrid(np.zeros((4, 4)))
     m = BinaryMask(np.zeros((4, 4), dtype=int))
     unlabeled = tuple(Sample(id=f"u{i}", image=img, ground_truth=m) for i in range(n_unlabeled))
-    pool = PoolState(labeled=(), unlabeled=unlabeled, iteration=0)
+    pool = PoolState(labeled=(), unlabeled=unlabeled)
     if n_labeled:
         ids = [f"u{i}" for i in range(n_labeled)]
         pool = move_to_labeled(pool, ids, [m] * n_labeled, "initial")
@@ -160,15 +160,11 @@ class TestPoolState:
             pool = move_to_labeled(pool, ids, [m] * len(ids), "oracle")
             assert len(pool.labeled) + len(pool.unlabeled) == total
 
-    def test_iteration_advances_by_one(self):
-        pool = make_pool(5)
-        assert pool.advance_iteration().iteration == 1
-
     def test_pool_rejects_overlapping_sets(self):
         img = ImageGrid(np.zeros((4, 4)))
         s = Sample(id="a", image=img)
         with pytest.raises(ValueError):
-            PoolState(labeled=(), unlabeled=(s, s), iteration=0)
+            PoolState(labeled=(), unlabeled=(s, s))
 
     def test_sample_requires_ground_truth(self):
         s = Sample(id="a", image=ImageGrid(np.zeros((4, 4))))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,21 @@ class TestRunExperiment:
         assert os.path.exists(os.path.join(cfg.output_dir, "random", "run_log.csv"))
         # identical split: the union of all queried ids never overlaps test ids
         assert all(r.weak_ids == () for r in results["random"].records)
+        # random queries score no sample
+        assert all(r.scores == () for r in results["random"].records)
+        assert not os.path.exists(os.path.join(cfg.output_dir, "random", "scores.csv"))
+
+    def test_scores_csv_marks_are_the_record_ids(self, tmp_path):
+        cfg = tiny_experiment(tmp_path)
+        records = run_experiment(cfg)["method"].records
+        with open(os.path.join(cfg.output_dir, "scores.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert any(r.weak_ids for r in records), "test must exercise the weak-labeling path"
+        for r in records:
+            marks = {row[1]: row[-1] for row in rows if row[0] == str(r.iteration)}
+            assert len(marks) == r.pool_remaining + len(r.strong_ids) + len(r.weak_ids)
+            for kind, ids in (("strong", r.strong_ids), ("weak", r.weak_ids)):
+                assert sorted(sid for sid, mark in marks.items() if mark == kind) == sorted(ids)
 
     def test_csvs_are_deterministic(self, tmp_path):
         cfg_a = tiny_experiment(tmp_path / "a")
@@ -526,6 +542,11 @@ class TestCli:
         "dataset.noise_level=inf",
         "ensemble.floor=nan",
         "ensemble.floor=inf",
+        "ensemble.floor=1e300",
+        "crf.gaussian.sdims=1e300",
+        "crf.bilateral.sdims=1e300",
+        "crf.bilateral.schan=1e300",
+        "crf.bilateral.schan=1e-300",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")
@@ -539,6 +560,31 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: ")
         assert line.partition("=")[0] in err
+
+    def test_learning_rate_beyond_float32_fails_before_any_file(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "out")
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"train.learning_rate=1e300\noutput.dir={out_dir}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning on the float32 cast
+            assert cli.main(["run", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: learning_rate must fit in float32, got 1e+300 (config key train.learning_rate)\n"
+        )
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("lines, need", [("", 340), ("split.initial=2\nsplit.pool=2\n", 104)])
+    def test_synthetic_corpus_smaller_than_the_split_fails_before_any_file(self, tmp_path, capsys, lines, need):
+        out_dir = str(tmp_path / "out")
+        cfg_path = str(tmp_path / "exp.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"dataset.n_samples=5\n{lines}output.dir={out_dir}\n")
+        assert cli.main(["run", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset has 5 samples but the split needs {need} (config key dataset.n_samples)\n"
+        )
+        assert not os.path.exists(out_dir)
 
     def test_negative_generate_seed_is_one_line_error(self, tmp_path, capsys):
         assert cli.main(["generate", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
