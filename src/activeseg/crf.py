@@ -8,22 +8,25 @@ and mean-field step that check them live in ``tests/oracles.py``.
 
 A decode keeps its field as two planes (2, H, W), background then
 foreground, so the softmax is maximum, exp, add and divide over whole
-planes, the same floats as reductions over a label axis.  The spatial
-kernel is a numpy separable filter in SciPy's summation order, equal bit
-for bit to ``ndimage.correlate1d``.  The bilateral range weights
+planes, the same floats as reductions over a label axis.  With two labels
+a step needs only the difference m1 - m0 of the labels' messages, and by
+linearity of the windowed sums that is one Gaussian and one bilateral
+message of the signed plane q0 - q1, not one of each per label.  The
+spatial kernel is a numpy separable filter in SciPy's summation order,
+equal bit for bit to ``ndimage.correlate1d``.  The bilateral range weights
 ws * exp(-(I_i - I_j)**2 / 2 schan**2) are built once per decode, in place
 in one dense flat buffer per offset row, for half of the offsets (the
-kernel is symmetric), and shared by both labels and every mean-field step.
-A step adds each offset row's terms into one label's plane with one
-ordered np.add.reduce over a 2-D block, in the same order as a loop over
-the offsets, so the floats are the same.  The table and the bilateral
-sums work in the dtype of the image they get: ``infer`` gives them a
-float32 copy, the precision of the segmenter that made the map, and casts
-the field to float32 for them once per step; the unaries, the field, the
-Gaussian message, the energies and the softmax stay float64.  Its cost
-stays O(r**2 * H * W) for window radius r; the published
-SKIN_LESION_CENTER (r = 85 at 192x240) stays out of reach until a
-bilateral grid or permutohedral lattice replaces the window.
+kernel is symmetric), and shared by every mean-field step.  A step adds
+each offset row's terms into the plane with one ordered np.add.reduce over
+a 2-D block, in the same order as a loop over the offsets, so the floats
+are the same.  The table and the bilateral sum work in the dtype of the
+image they get: ``infer`` gives them a float32 copy, the precision of the
+segmenter that made the map, and casts the signed plane to float32 for them
+once per step; the unaries, the field, the Gaussian message, the energies
+and the softmax stay float64.  Its cost stays O(r**2 * H * W) for window
+radius r; the published SKIN_LESION_CENTER (r = 85 at 192x240) stays out
+of reach until a bilateral grid or permutohedral lattice replaces the
+window.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .core import BinaryMask, ImageGrid, ProbMap
 
 UNARY_EPS = 1e-8
+FLOAT32_TINY, FLOAT32_MAX = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,22 @@ class CrfParams:
                     raise ValueError(f"{name} must be nonnegative")
             elif value <= 0:
                 raise ValueError(f"{name} must be positive")
-            elif not 0.0 < value * value < math.inf:  # the kernels divide by the squared scale
-                raise ValueError(f"{name} must have a finite nonzero square, got {value!r}")
+            elif not usable_scale(value):
+                raise ValueError(f"{name} must make 1/(2*{name}**2) a normal float32, got {value!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+
+
+def usable_scale(scale: float) -> bool:
+    """Whether the kernels can use scale: 1 / (2 scale**2), the factor they
+    multiply by, must be a normal float32, the precision the bilateral table
+    multiplies in.  There a factor that rounds to inf makes two equal
+    intensities give 0 * inf = nan, and one that rounds to 0 makes the inf
+    border give nan."""
+    twice_square = 2.0 * (scale * scale)
+    return twice_square > 0.0 and FLOAT32_TINY <= 1.0 / twice_square <= FLOAT32_MAX
 
 
 # every CrfParams field and its type, float or int, in declaration order
@@ -156,22 +170,22 @@ def _separable_pass(src: np.ndarray, w: np.ndarray, axis: int, out: np.ndarray, 
 
 
 def _gaussian_message(q: np.ndarray, sdims: float) -> np.ndarray:
-    """Windowed sum_j k(i, j) q[l, j] for the separable spatial kernel, for
-    each channel l of q (shape (L, H, W)), excluding j = i.
+    """Windowed sum_j k(i, j) q[j] for the separable spatial kernel, for a
+    plane q (H, W), excluding j = i.
 
     Zero border, axis 0 of the raster first, then axis 1.  The padded input
     is zero in its border columns, so the first pass leaves exact zeros there
     for the second.
     """
-    n, h, w = q.shape
+    h, w = q.shape
     radius = _kernel_radius(sdims, (h, w))
     weights = _spatial_weights(sdims, radius)
-    padded = np.zeros((n, h + 2 * radius, w + 2 * radius))
-    padded[:, radius : radius + h, radius : radius + w] = q
-    rows = np.empty((n, h, w + 2 * radius))
-    _separable_pass(padded, weights, 1, rows, np.empty_like(rows))
-    acc = np.empty((n, h, w))
-    _separable_pass(rows, weights, 2, acc, np.empty_like(acc))
+    padded = np.zeros((h + 2 * radius, w + 2 * radius))
+    padded[radius : radius + h, radius : radius + w] = q
+    rows = np.empty((h, w + 2 * radius))
+    _separable_pass(padded, weights, 0, rows, np.empty_like(rows))
+    acc = np.empty((h, w))
+    _separable_pass(rows, weights, 1, acc, np.empty_like(acc))
     acc -= q  # remove the self term (kernel value 1 at zero offset)
     return acc
 
@@ -215,99 +229,104 @@ def _bilateral_table(image: np.ndarray, sdims: float, schan: float) -> list[np.n
     return table
 
 
-def _bilateral_messages(q: np.ndarray, table: list[np.ndarray]) -> np.ndarray:
-    """Windowed bilateral sum_j k(i, j) q[l, j] for each channel l of q
-    (shape (L, H, W)), excluding j = i.
+def _bilateral_message(q: np.ndarray, table: list[np.ndarray]) -> np.ndarray:
+    """Windowed bilateral sum_j k(i, j) q[j] for a plane q (H, W), excluding
+    j = i.
 
-    One channel at a time, every pixel adds its terms in row-major offset
-    order, one np.add.reduce over axis 0 of a 2-D block per offset row dy:
-    plane 0 is the running sum, the planes after it the terms of
-    dx = -rx ... rx, added one after another.  The recorded reference
-    outcomes depend on those exact float bits.  Flat reads that wrap into
-    the next raster row meet zero weights; every term is >= 0 and the sum
-    starts at +0.0, so their +0.0 terms change no bit.  q and the table
-    share one dtype, the dtype of the sums.
+    Every pixel adds its terms in row-major offset order, one np.add.reduce
+    over axis 0 of a 2-D block per offset row dy: plane 0 is the running
+    sum, the planes after it the terms of dx = -rx ... rx, added one after
+    another.  The recorded reference outcomes depend on those exact float
+    bits.  Flat reads that wrap into the next raster row meet zero weights,
+    so their terms are +0.0 or, where q is negative, -0.0; the sum starts at
+    +0.0, and adding a zero of either sign changes no sum.  q and the table
+    share one dtype, the dtype of the sum.
     """
-    n_ch, h, w = q.shape
+    h, w = q.shape
     size = h * w
     width = table[0].shape[0]  # 2 rx + 1
     rx = width // 2
-    acc = np.zeros((n_ch, size), q.dtype)
-    item = acc.itemsize
+    flat = q.reshape(size)
+    out = np.zeros(size, q.dtype)
+    item = out.itemsize
     padded = np.zeros(size + 2 * rx, q.dtype)
-    # source[k, j] = q[l, j + dx] for dx = k - rx, zero off the flat raster
+    padded[rx : rx + size] = flat
+    # source[k, j] = q[j + dx] for dx = k - rx, zero off the flat raster
     source = as_strided(padded, (width, size), (item, item), writeable=False)
-    scratch = np.empty((width + 1, size + width), q.dtype)
+    scratch = np.zeros((width + 1, size + width), q.dtype)
     # Products stored in plane p >= 1 from column rx + 1 are read back through
     # `shifted`, p columns to the right of plane 0: shifted by dx = p - 1 - rx,
     # with zeros beyond both ends.  The offset rows dy < 0 come first, growing in
-    # length, so no earlier row has written where a later one reads zeros; the
-    # rows dy >= 0 write over those zeros, so each channel starts from a fill.
+    # length, so no earlier row has written where a later one reads zeros.
     shifted = as_strided(scratch, (width + 1, size), (scratch.strides[0] + item, item), writeable=False)
-    for flat, out in zip(q.reshape(n_ch, size), acc):
-        padded[rx : rx + size] = flat
-        scratch.fill(0.0)
-        # offsets -o, up to (0, -1): the term at pixel i is the product table[o] * q taken at pixel i - o
-        for dy in range(1 - len(table), 1):
-            weights = table[-dy] if dy < 0 else table[0][rx + 1 :]
-            planes, pixels = weights.shape[0] + 1, weights.shape[1]
-            target = out[size - pixels :]
-            # mirrored offsets: the last weight row goes to plane 1
-            np.multiply(weights, flat[:pixels], out=scratch[planes - 1 : 0 : -1, rx + 1 : rx + 1 + pixels])
-            scratch[0, :pixels] = target
-            np.add.reduce(shifted[:planes, :pixels], axis=0, out=target)
-        # offsets o, from (0, 1) on: the term at pixel i is table[o] at i times q at i + o;
-        # these rows write over the zero border, so they come last
-        for dy in range(len(table)):
-            weights = table[dy] if dy > 0 else table[0][rx + 1 :]
-            planes, pixels = weights.shape[0] + 1, weights.shape[1]
-            near = source[width + 1 - planes :, dy * w : dy * w + pixels]
-            np.multiply(weights, near, out=scratch[1:planes, :pixels])
-            scratch[0, :pixels] = out[:pixels]
-            np.add.reduce(scratch[:planes, :pixels], axis=0, out=out[:pixels])
-    return acc.reshape(n_ch, h, w)
+    # offsets -o, up to (0, -1): the term at pixel i is the product table[o] * q taken at pixel i - o
+    for dy in range(1 - len(table), 1):
+        weights = table[-dy] if dy < 0 else table[0][rx + 1 :]
+        planes, pixels = weights.shape[0] + 1, weights.shape[1]
+        target = out[size - pixels :]
+        # mirrored offsets: the last weight row goes to plane 1
+        np.multiply(weights, flat[:pixels], out=scratch[planes - 1 : 0 : -1, rx + 1 : rx + 1 + pixels])
+        scratch[0, :pixels] = target
+        np.add.reduce(shifted[:planes, :pixels], axis=0, out=target)
+    # offsets o, from (0, 1) on: the term at pixel i is table[o] at i times q at i + o;
+    # these rows write over the zero border, so they come last
+    for dy in range(len(table)):
+        weights = table[dy] if dy > 0 else table[0][rx + 1 :]
+        planes, pixels = weights.shape[0] + 1, weights.shape[1]
+        near = source[width + 1 - planes :, dy * w : dy * w + pixels]
+        np.multiply(weights, near, out=scratch[1:planes, :pixels])
+        scratch[0, :pixels] = out[:pixels]
+        np.add.reduce(scratch[:planes, :pixels], axis=0, out=out[:pixels])
+    return out.reshape(h, w)
 
 
 def _potts_messages(image: np.ndarray, params: CrfParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Map from a field q (2, H, W) to its windowed Potts messages (2, H, W).
+    """Map from a field q (2, H, W) to the difference m1 - m0 (H, W) of its
+    windowed Potts messages.
 
-    The bilateral weights depend only on the image and the parameters, so
-    they are built here, once, and reused by every call.  They and the
-    bilateral sums are in the dtype of image, the field cast to it once per
-    call; the Gaussian message and the messages returned are float64.
+    Label l is penalized by the kernel-weighted mass of the other label, so
+    m1 - m0 = gaussian_compat * G(q0 - q1) + bilateral_compat * B(q0 - q1)
+    for the linear windowed sums G and B: one message per kernel, on the
+    signed plane d = q0 - q1, in place of one per label.  The bilateral
+    weights depend only on the image and the parameters, so they are built
+    here, once, and reused by every call.  They and the bilateral sum are in
+    the dtype of image, d cast to it once per call; d, the Gaussian message
+    and the difference returned are float64.
     """
-    h, w = image.shape
     table = None
     if params.bilateral_compat > 0.0:
         table = _bilateral_table(image, params.bilateral_sdims, params.bilateral_schan)
 
     def windowed(q: np.ndarray) -> np.ndarray:
-        messages = np.zeros((2, h, w))
-        # plane l holds the other label's marginal, which penalizes label l
-        other = q[::-1]
+        signed = q[0] - q[1]
+        message = np.zeros(signed.shape)
         if params.gaussian_compat > 0.0:
-            messages += params.gaussian_compat * _gaussian_message(other, params.gaussian_sdims)
+            message += params.gaussian_compat * _gaussian_message(signed, params.gaussian_sdims)
         if table is not None:
-            bilateral = _bilateral_messages(np.asarray(other, image.dtype), table)
-            messages += params.bilateral_compat * bilateral.astype(np.float64)
-        return messages
+            bilateral = _bilateral_message(signed.astype(image.dtype), table)
+            message += params.bilateral_compat * bilateral.astype(np.float64)
+        return message
 
     return windowed
 
 
 def _step(q: np.ndarray, neg_unary: np.ndarray, messages: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """One mean-field update of the planar field q (2, H, W)."""
-    energy = messages(q)
-    return _softmax2(np.subtract(neg_unary, energy, out=energy))
+    """One mean-field update of the planar field q (2, H, W).  The softmax
+    is unchanged when both labels' energies drop by m0, so the background
+    plane keeps its negated unary and the foreground one loses m1 - m0."""
+    energy = neg_unary.copy()
+    energy[1] -= messages(q)
+    return _softmax2(energy)
 
 
 def infer(image: ImageGrid, p: ProbMap, params: CrfParams) -> BinaryMask:
     """Mean-field decode: init from unaries, run params.steps updates, argmax.
 
-    The field is two planes (2, H, W), background then foreground.  The
-    messages' image-dependent weights are built once per call and shared
-    by every step; the bilateral ones, and the bilateral sums, are float32,
-    the precision the segmenter runs in.  The unaries, the field, the
+    The field is two planes (2, H, W), background then foreground; each
+    step sends one Gaussian and one bilateral message of the signed plane
+    q0 - q1.  The messages' image-dependent weights are built once per call
+    and shared by every step; the bilateral ones, and the bilateral sum, are
+    float32, the precision the segmenter runs in.  The unaries, the field, the
     energies and the softmax stay float64.  The final field, which the
     argmax reads, must hold finite probabilities whose two labels sum to 1
     within 1e-12 at every pixel.  Argmax ties resolve to foreground, so

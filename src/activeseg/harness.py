@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -287,14 +288,19 @@ _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
 def _build(tree: dict, given: dict, path: str = ""):
     """The dataclass at ``path`` from a nested dict of its field values.  A
     ValueError it raises is re-raised naming the keys in ``given`` that set
-    one of its fields."""
+    a field its message names, or, when it names none, every key in
+    ``given`` that sets one of its fields."""
     kwargs = {name: _build(sub, given, f"{path}.{name}".lstrip(".")) if isinstance(sub, dict) else sub
               for name, sub in tree.items()}
     try:
         return _SECTIONS[path](**kwargs)
     except ValueError as exc:
-        names = [key.name for key in CONFIG_KEYS
-                 if key.name in given and any(f.rpartition(".")[0] == path for f in key.fields)]
+        named = {name for name in kwargs if re.search(rf"\b{name}\b", str(exc))}
+        names = []
+        for key in CONFIG_KEYS:
+            fields = {f.rpartition(".")[2] for f in key.fields if f.rpartition(".")[0] == path}
+            if key.name in given and fields and (not named or fields & named):
+                names.append(key.name)
         if not names:
             raise
         raise ValueError(f"{exc} (config key{'s' if len(names) > 1 else ''} {', '.join(names)})") from None

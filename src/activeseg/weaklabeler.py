@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .core import BinaryMask, ImageGrid, ProbMap, dice
-from .crf import PARAM_TYPES, CrfParams, infer
+from .crf import PARAM_TYPES, CrfParams, infer, usable_scale
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class PerturbSpec:
             raise ValueError(f"floor must be finite, got {self.floor!r}")
         if self.floor <= 0:
             raise ValueError("floor must be positive")
-        if not 0.0 < self.floor * self.floor < math.inf:  # a floored scale must pass CrfParams
-            raise ValueError(f"floor must have a finite nonzero square, got {self.floor!r}")
+        if not usable_scale(self.floor):  # a floored scale must pass CrfParams
+            raise ValueError(f"floor must make 1/(2*floor**2) a normal float32, got {self.floor!r}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,21 @@ def majority_vote(masks: Sequence[BinaryMask]) -> BinaryMask:
 
 
 def refine(ensemble: CrfEnsemble, image: ImageGrid, p: ProbMap) -> BinaryMask:
-    """Majority vote over every member's mean-field decoding of (image, p)."""
-    return majority_vote([infer(image, p, member) for member in ensemble.members])
+    """Majority vote over the members' mean-field decodings of (image, p).
+
+    The members decode in ensemble order until every pixel holds
+    floor(M / 2) + 1 equal votes.  No later member can change such a vote,
+    so the mask equals majority_vote over all M decodings, and the members
+    left out are never decoded.
+    """
+    m = len(ensemble.members)
+    need = m // 2 + 1
+    counts = np.zeros(image.values.shape, dtype=np.int64)
+    for decoded, member in enumerate(ensemble.members, start=1):
+        counts += infer(image, p, member).values
+        if decoded >= need and np.all((counts >= need) | (counts <= decoded - need)):
+            break
+    return BinaryMask((2 * counts > m).astype(np.uint8))
 
 
 def _mean_dice(masks: Sequence[BinaryMask], truths: Sequence[BinaryMask]) -> float:

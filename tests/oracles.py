@@ -5,9 +5,12 @@ exact path sums Potts messages over all pixel pairs with dense kernel
 matrices (small images only) and gives the exact Gibbs energy of a
 labeling; the package's windowed path must stay within 1e-3 of its step.
 The brute-force step is written as plain scalar loops and checks the exact
-one.  The per-offset windowed path recomputes each bilateral weight for
-every label, offset and step; the package's windowed path, which builds
-them once per decode, must match it bit for bit on its float64 path.
+one.  The per-offset windowed paths recompute each bilateral weight for
+every message, offset and step.  The two-label one sends one message per
+label, the textbook update; the signed one sends one per kernel, on the
+signed plane q0 - q1.  The package's windowed path, which builds the
+weights once per decode, must match the signed one bit for bit on its
+float64 path, and give the two-label one's masks.
 ``windowed_step``, ``windowed_infer`` and ``initial_field`` are not
 references: they run the package's own code, the step ``crf.infer`` loops
 over, so no second copy of it exists.
@@ -131,6 +134,26 @@ def per_offset_windowed_step(q, image, unary, params):
             )
         messages[:, :, label] = msg
     return _softmax2(-unary - messages)
+
+
+def per_offset_signed_step(q, image, unary, params):
+    """One windowed mean-field update that sends a single message per
+    kernel, on the signed plane d = q0 - q1, recomputing every bilateral
+    weight offset by offset: m1 - m0 is gaussian_compat * G(d) +
+    bilateral_compat * B(d), and the softmax is unchanged when the
+    background energy keeps its unary and the foreground one takes m1 - m0."""
+    h, w = image.shape
+    signed = q[:, :, 0] - q[:, :, 1]
+    msg = np.zeros((h, w))
+    if params.gaussian_compat > 0.0:
+        msg += params.gaussian_compat * _gaussian_message(signed, params.gaussian_sdims)
+    if params.bilateral_compat > 0.0:
+        msg += params.bilateral_compat * _bilateral_message(
+            signed, image, params.bilateral_sdims, params.bilateral_schan
+        )
+    neg_energy = -unary
+    neg_energy[:, :, 1] -= msg
+    return _softmax2(neg_energy)
 
 
 def per_offset_windowed_infer(image, unary, params):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,27 @@ class TestParams:
             args[index] = value
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CrfParams(*args)
+
+    @pytest.mark.parametrize("value", [1e-160, 3.8e-20, 6.6e18, 1e155])
+    def test_scales_need_a_normal_float32_inverse_variance(self, value):
+        # 1/(2 s**2) overflows float32 below about 3.84e-20 and underflows it
+        # above about 6.5e18; the float32 bilateral table then holds nan
+        for index, name in ((0, "gaussian_sdims"), (2, "bilateral_sdims"), (3, "bilateral_schan")):
+            args = [1.0] * 5 + [1]
+            args[index] = value
+            with pytest.raises(ValueError, match=f"{name} must make 1/\\(2\\*{name}\\*\\*2\\) a normal float32"):
+                CrfParams(*args)
+
+    @pytest.mark.parametrize("value", [3.84e-20, 6.5e18])
+    def test_extreme_accepted_scales_decode(self, value):
+        image, p = random_case(np.random.default_rng(15), 6, 6)
+        image = ImageGrid(np.where(image.values > 0.5, 0.75, 0.25))  # equal intensities meet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for index in (0, 2, 3):
+                args = [1.0] * 5 + [2]
+                args[index] = value
+                infer(image, p, CrfParams(*args))
 
     def test_text_roundtrip(self, tmp_path):
         p = CrfParams(29.93, 9.06, 28.19, 5.59, 9.46, 2)
@@ -346,10 +368,13 @@ BIT_IDENTITY_SHAPES = [(1, 1), (1, 9), (8, 20), (17, 23), (32, 32), (3, 40), (40
 
 
 class TestWindowedBitIdentity:
-    """The windowed path against the earlier per-offset loop, kept in
-    oracles.py with its offsets cut at each raster side as the window cuts
-    them: same floats in the same order, so equal bit for bit, thin rasters
-    included."""
+    """The windowed path against the per-offset loops kept in oracles.py,
+    with their offsets cut at each raster side as the window cuts them,
+    thin rasters included.  Its step sends one message per kernel on the
+    signed plane q0 - q1: the same floats in the same order as the signed
+    per-offset step, so equal bit for bit.  The two-label per-offset step
+    sends one message per label; its fields differ in the last bits, and
+    its masks must not differ."""
 
     @pytest.mark.parametrize("shape", BIT_IDENTITY_SHAPES)
     def test_fields_and_masks_equal(self, shape):
@@ -360,7 +385,7 @@ class TestWindowedBitIdentity:
             q = initial_field(u)
             for _ in range(params.steps):
                 ours = windowed_step(q, image, u, params)
-                ref = oracles.per_offset_windowed_step(q, image.values, u, params)
+                ref = oracles.per_offset_signed_step(q, image.values, u, params)
                 assert np.array_equal(ours, ref)
                 q = ours
             mask = oracles.windowed_infer(image, u, params)
@@ -396,8 +421,8 @@ class TestFloat32Path:
         image = rng.uniform(0, 1, (8, 20)).astype(np.float32)
         table = crf_module._bilateral_table(image, 2.5, 0.15)
         assert {t.dtype for t in table} == {np.dtype(np.float32)}
-        q = rng.uniform(0, 1, (2, 8, 20)).astype(np.float32)
-        assert crf_module._bilateral_messages(q, table).dtype == np.float32
+        q = rng.uniform(-1, 1, (8, 20)).astype(np.float32)
+        assert crf_module._bilateral_message(q, table).dtype == np.float32
 
     def test_infer_builds_its_table_in_float32(self, monkeypatch):
         seen, real = [], crf_module._bilateral_table
@@ -427,6 +452,8 @@ GAUSSIAN_SDIMS = (0.7, 1.0, 1.3, 1.7, 2.2, 2.7, 3.3)
 def message_field(rng, kind, shape):
     if kind == "random":
         return rng.uniform(0, 1, shape)
+    if kind == "signed":  # the plane q0 - q1 that a mean-field step filters
+        return rng.uniform(-1, 1, shape)
     if kind == "binary":
         return (rng.uniform(0, 1, shape) > 0.5).astype(np.float64)
     return np.full(shape, 0.37)
@@ -442,11 +469,10 @@ class TestGaussianMessageSummationOrder:
         rng = np.random.default_rng(12)
         differing = []
         for sdims in GAUSSIAN_SDIMS:
-            for kind in ("random", "binary", "constant"):
+            for kind in ("random", "signed", "binary", "constant"):
                 q = message_field(rng, kind, shape)
-                ours = crf_module._gaussian_message(np.stack([q, 1.0 - q]), sdims)
-                ref = np.stack([oracles._gaussian_message(q, sdims), oracles._gaussian_message(1.0 - q, sdims)])
-                if not np.array_equal(ours, ref):
+                ours = crf_module._gaussian_message(q, sdims)
+                if not np.array_equal(ours, oracles._gaussian_message(q, sdims)):
                     differing.append((sdims, kind))
         assert differing == []
 

@@ -179,6 +179,18 @@ class TestConfigRoundtrip:
         assert (new.dataset, new.output_dir) == (cfg.dataset, cfg.output_dir)
         assert with_keys(new, {"seed": 0}) == cfg
 
+    def test_error_names_only_the_key_of_the_field_it_names(self):
+        with pytest.raises(ValueError) as info:
+            parse_config_text("split.initial=0\noutput.dir=x\n")
+        assert str(info.value) == "n_initial must be positive (config key split.initial)"
+
+    def test_error_naming_no_field_names_every_key_of_its_section(self):
+        with pytest.raises(ValueError) as info:
+            parse_config_text("train.batch_size=0\ntrain.loss=soft_dice\nsplit.initial=3\n")
+        assert str(info.value) == (
+            "learning rate and batch size must be positive (config keys train.batch_size, train.loss)"
+        )
+
     def test_with_keys_error_names_only_the_keys_it_sets(self, tmp_path):
         with pytest.raises(ValueError, match=r"odd .* \(config key ensemble\.members\)$"):
             with_keys(tiny_experiment(tmp_path), {"ensemble.members": 4, "seed": None})
@@ -547,6 +559,10 @@ class TestCli:
         "crf.bilateral.sdims=1e300",
         "crf.bilateral.schan=1e300",
         "crf.bilateral.schan=1e-300",
+        "crf.gaussian.sdims=1e-160",
+        "crf.bilateral.sdims=1e-160",
+        "crf.bilateral.schan=1e-160",
+        "ensemble.floor=1e-160",
     ])
     def test_bad_value_is_one_line_error_naming_the_key(self, tmp_path, capsys, line):
         cfg_path = str(tmp_path / "exp.cfg")

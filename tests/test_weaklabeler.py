@@ -239,6 +239,85 @@ class TestRefine:
         assert wins >= 16  # at least 80% of seeded trials
 
 
+class TestLazyVote:
+    """refine decodes members in ensemble order and stops once every pixel
+    holds floor(M / 2) + 1 equal votes."""
+
+    @staticmethod
+    def scripted(monkeypatch, masks):
+        """Members told apart by their step count; ``weaklabeler.infer``
+        returns member k's scripted mask and logs k."""
+        from activeseg import weaklabeler
+
+        members = tuple(replace(CENTER, steps=k + 1) for k in range(len(masks)))
+        decoded = []
+
+        def fake_infer(image, p, params):
+            decoded.append(params.steps - 1)
+            return BinaryMask(masks[params.steps - 1])
+
+        monkeypatch.setattr(weaklabeler, "infer", fake_infer)
+        return CrfEnsemble(members=members, center=CENTER, spec=SPEC, rng_seed=0), decoded
+
+    @staticmethod
+    def decided(masks, need):
+        """Whether every pixel holds need equal votes among masks."""
+        counts = masks.sum(axis=0)
+        return bool(np.all((counts >= need) | (len(masks) - counts >= need)))
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_equals_the_full_vote_and_stops_once_decided(self, monkeypatch, m):
+        need = m // 2 + 1
+        rng = np.random.default_rng(m)
+        image = ImageGrid(np.zeros((4, 4)))
+        p = ProbMap(np.full((4, 4), 0.5))
+        stops = set()
+        for _ in range(200):
+            # members mostly agree with a base mask, so every stopping point occurs
+            base = rng.uniform(size=(4, 4)) < 0.5
+            flip = rng.uniform(size=(m, 4, 4)) < rng.choice([0.0, 0.02, 0.2])
+            masks = (base ^ flip).astype(np.uint8)
+            ens, decoded = self.scripted(monkeypatch, masks)
+            out = refine(ens, image, p)
+            assert np.array_equal(out.values, majority_vote([BinaryMask(x) for x in masks]).values)
+            assert decoded == list(range(len(decoded)))
+            assert self.decided(masks[: len(decoded)], need)
+            if len(decoded) > need:  # the vote was open one decode earlier
+                assert not self.decided(masks[: len(decoded) - 1], need)
+            else:
+                assert len(decoded) == need
+            stops.add(len(decoded))
+        assert {need, m} <= stops
+        if m > need + 1:
+            assert stops & set(range(need + 1, m))
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_decodes_equal_the_full_vote(self, m):
+        rng = np.random.default_rng(20 + m)
+        for seed in range(5):
+            image = ImageGrid(rng.uniform(0, 1, (12, 12)))
+            p = ProbMap(rng.uniform(0, 1, (12, 12)))
+            ens = build_ensemble(CENTER, m, replace(SPEC, relative_sigma=0.3), seed)
+            full = majority_vote([infer(image, p, member) for member in ens.members])
+            np.testing.assert_array_equal(refine(ens, image, p).values, full.values)
+
+    def test_spy_sees_refine_stop_and_greedy_decode_every_member(self, monkeypatch):
+        from activeseg import weaklabeler
+
+        decodes = []
+        monkeypatch.setattr(weaklabeler, "infer", lambda *args: decodes.append(args) or infer(*args))
+        off = CrfParams(1.0, 0.0, 1.0, 0.5, 0.0, 1)  # every member thresholds: unanimous
+        ens = build_ensemble(off, 5, SPEC, 0)
+        image = ImageGrid(np.full((8, 8), 0.5))
+        p = ProbMap(np.random.default_rng(3).uniform(0, 1, (8, 8)))
+        refine(ens, image, p)
+        assert [params for _, _, params in decodes] == list(ens.members[:3])
+        decodes.clear()
+        validation = TestGreedyFinetune().validation_case()
+        greedy_finetune(ens, validation, 1)
+        assert len(decodes) == 5 * len(validation)
+
+
 class TestGreedyFinetune:
     def validation_case(self, seed=8, n=3):
         rng = np.random.default_rng(seed)
