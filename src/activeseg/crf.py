@@ -70,20 +70,30 @@ class CrfParams:
                     raise ValueError(f"{name} must be nonnegative")
             elif value <= 0:
                 raise ValueError(f"{name} must be positive")
-            elif not usable_scale(value):
+            elif name == "bilateral_schan" and not usable_scale(value):  # the float32 table multiplies by it
                 raise ValueError(f"{name} must make 1/(2*{name}**2) a normal float32, got {value!r}")
+            elif not _finite_inverse_variance(value):  # the spatial weights divide by it in float64
+                raise ValueError(f"{name} must make 1/(2*{name}**2) finite, got {value!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
 
+def _finite_inverse_variance(scale: float) -> bool:
+    """Whether scale has a finite nonzero square and a finite 1 / (2 scale**2),
+    the float64 factor of the spatial weights; where it overflows, numpy
+    warns on every decode."""
+    square = scale * scale
+    return 0.0 < square < math.inf and 1.0 / (2.0 * square) < math.inf
+
+
 def usable_scale(scale: float) -> bool:
-    """Whether the kernels can use scale: 1 / (2 scale**2), the factor they
-    multiply by, must be a normal float32, the precision the bilateral table
-    multiplies in.  There a factor that rounds to inf makes two equal
-    intensities give 0 * inf = nan, and one that rounds to 0 makes the inf
-    border give nan."""
+    """Whether the bilateral intensity width can be scale: 1 / (2 scale**2),
+    the factor the range weights multiply by, must be a normal float32, the
+    precision of the bilateral table.  There a factor that rounds to inf
+    makes two equal intensities give 0 * inf = nan, and one that rounds to 0
+    makes the inf border give nan."""
     twice_square = 2.0 * (scale * scale)
     return twice_square > 0.0 and FLOAT32_TINY <= 1.0 / twice_square <= FLOAT32_MAX
 

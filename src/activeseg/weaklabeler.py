@@ -86,7 +86,12 @@ def majority_vote(masks: Sequence[BinaryMask]) -> BinaryMask:
     counts = np.zeros(masks[0].values.shape, dtype=np.int64)
     for m in masks:
         counts += m.values
-    return BinaryMask((2 * counts > len(masks)).astype(np.uint8))
+    return _vote(counts, len(masks))
+
+
+def _vote(counts: np.ndarray, m: int) -> BinaryMask:
+    """The label more than half of m voters gave, from foreground counts."""
+    return BinaryMask((2 * counts > m).astype(np.uint8))
 
 
 def refine(ensemble: CrfEnsemble, image: ImageGrid, p: ProbMap) -> BinaryMask:
@@ -104,7 +109,7 @@ def refine(ensemble: CrfEnsemble, image: ImageGrid, p: ProbMap) -> BinaryMask:
         counts += infer(image, p, member).values
         if decoded >= need and np.all((counts >= need) | (counts <= decoded - need)):
             break
-    return BinaryMask((2 * counts > m).astype(np.uint8))
+    return _vote(counts, m)
 
 
 def _mean_dice(masks: Sequence[BinaryMask], truths: Sequence[BinaryMask]) -> float:

@@ -77,25 +77,36 @@ class TestParams:
                 CrfParams(*args)
 
     @pytest.mark.parametrize("value", [1e-160, 3.8e-20, 6.6e18, 1e155])
-    def test_scales_need_a_normal_float32_inverse_variance(self, value):
+    def test_intensity_width_needs_a_normal_float32_inverse_variance(self, value):
         # 1/(2 s**2) overflows float32 below about 3.84e-20 and underflows it
         # above about 6.5e18; the float32 bilateral table then holds nan
-        for index, name in ((0, "gaussian_sdims"), (2, "bilateral_sdims"), (3, "bilateral_schan")):
+        args = [1.0] * 5 + [1]
+        args[3] = value
+        with pytest.raises(ValueError, match=r"bilateral_schan must make 1/\(2\*bilateral_schan\*\*2\) a normal float32"):
+            CrfParams(*args)
+
+    @pytest.mark.parametrize("value", [1e-160, 1e155])
+    def test_spatial_widths_need_a_finite_inverse_variance(self, value):
+        # 1/(2 s**2) overflows float64 at 1e-160, and s**2 itself at 1e155
+        for index, name in ((0, "gaussian_sdims"), (2, "bilateral_sdims")):
             args = [1.0] * 5 + [1]
             args[index] = value
-            with pytest.raises(ValueError, match=f"{name} must make 1/\\(2\\*{name}\\*\\*2\\) a normal float32"):
+            with pytest.raises(ValueError, match=f"{name} must make 1/\\(2\\*{name}\\*\\*2\\) finite"):
                 CrfParams(*args)
 
-    @pytest.mark.parametrize("value", [3.84e-20, 6.5e18])
-    def test_extreme_accepted_scales_decode(self, value):
+    @pytest.mark.parametrize(
+        "index, value",
+        [(3, 3.84e-20), (3, 6.5e18)] + [(i, v) for i in (0, 2) for v in (1e-150, 1e-30, 6.6e18, 1e19, 1e154)],
+    )
+    def test_extreme_accepted_scales_decode(self, index, value):
+        # the spatial widths keep the wider float64 range: their weights are float64 until after exp
         image, p = random_case(np.random.default_rng(15), 6, 6)
         image = ImageGrid(np.where(image.values > 0.5, 0.75, 0.25))  # equal intensities meet
+        args = [1.0] * 5 + [2]
+        args[index] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for index in (0, 2, 3):
-                args = [1.0] * 5 + [2]
-                args[index] = value
-                infer(image, p, CrfParams(*args))
+            infer(image, p, CrfParams(*args))
 
     def test_text_roundtrip(self, tmp_path):
         p = CrfParams(29.93, 9.06, 28.19, 5.59, 9.46, 2)
