@@ -57,21 +57,23 @@ class ALConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.k_strong < 0 or self.k_weak < 0:
-            raise ValueError("query sizes must be nonnegative")
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("k_strong", "k_weak"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.pseudo_start_iter < 1:
             raise ValueError("pseudo_start_iter counts from iteration 1")
         replace(self.train, epochs=self.base_epochs)  # TrainConfig checks the base epochs
         if self.bins < 2:
             raise ValueError(f"need at least 2 histogram bins, got {self.bins}")
         if self.ensemble_size < 1 or self.ensemble_size % 2 == 0:
-            raise ValueError(f"ensemble size must be odd and >= 1, got {self.ensemble_size}")
+            raise ValueError(f"ensemble_size must be odd and >= 1, got {self.ensemble_size}")
         if self.query_strategy not in QUERY_STRATEGIES:
             raise ValueError(f"query_strategy must be one of {QUERY_STRATEGIES}")
         check_seed(self.seed)
         if self.ensemble_rounds < 0:
-            raise ValueError(f"ensemble rounds must be nonnegative, got {self.ensemble_rounds}")
+            raise ValueError(f"ensemble_rounds must be nonnegative, got {self.ensemble_rounds}")
         if self.target_dsc is not None and not (
             isinstance(self.target_dsc, numbers.Real) and 0.0 <= self.target_dsc <= 1.0
         ):

@@ -26,9 +26,10 @@ builds one step plan per call and runs every step as a fixed sequence of
 gemms and ``out=`` numpy calls on it; ``backward`` builds a plan per call.
 A step plan keeps the backward's later scratch in the im2col matrices of
 dec2 and dec1, dead once their weight gradients, the backward's first two
-gemms, are taken: dec2's holds the input-gradient im2col matrices and gemm
-outputs, dec1's the routed max-pool gradients.  Bordered inputs keep
-memory of their own, since their zero border must last from step to step.
+gemms, are taken: dec2's holds the input-gradient im2col matrices, gemm
+outputs and upsample gradients, dec1's the routed max-pool gradients.
+Bordered inputs keep memory of their own, since their zero border must last
+from step to step.
 ``predict`` keeps one float32 forward plan and one packed float32
 parameter vector on each ``SegmenterParams``, built on its first call and
 reused by the next; ``train`` drops them when it starts from that
@@ -407,7 +408,6 @@ class _ForwardPlan:
         self.store, self.n = store, n
         s = {key: arr[:n] for key, arr in store.items()}
         self.convs = {name: _Conv(s[f"{name}.in"], s[f"{name}.cols"], s[f"{name}.out"]) for name in _CONVS}
-        self.bordered_x = s["enc1.in"]
         self.x = self.convs["enc1"].inner
         dec1, dec2 = self.convs["dec1"].inner, self.convs["dec2"].inner
         self.dec1_up, self.dec1_skip = _blocks(dec1[..., :32], 2), dec1[..., 32:]
@@ -511,13 +511,16 @@ class _StepPlan(_ForwardPlan):
     - dec2's matrix holds the four input-gradient im2col matrices, all at
       its start (each is consumed by its gemm at once), then the four
       input-gradient gemm outputs ``{dec2,dec1,bottleneck,enc2}.dx``, each
-      of its own, since their skip slices live until enc2 and enc1;
+      of its own, since their skip slices live until enc2 and enc1, then
+      ``up.middle`` and ``up.lower``, the upsample gradients of the up
+      slices of dec2's and dec1's input gradients;
     - dec1's matrix holds the two routed max-pool gradients.
 
-    Two kinds of buffer keep memory of their own: the bordered inputs,
+    Three kinds of buffer keep memory of their own: the bordered inputs,
     whose zero border must last from step to step (the input-gradient convs
-    of dec1 and enc2, whose shapes match, share one), and every buffer
-    written before dec2's weight gradient."""
+    of dec1 and enc2, whose shapes match, share one), every buffer written
+    before dec2's weight gradient, and the boolean pooling scratch
+    ``pool*.hit`` and ``pool*.free``, which a float view cannot hold."""
 
     def __init__(self, store, n):
         super().__init__(store, n)
@@ -554,14 +557,13 @@ class _StepPlan(_ForwardPlan):
                 dx[f"{name}.dx"] = (n, hh, ww, c)
         for cols_name, shape in dgrad_cols.items():
             store.update(_cut(store["dec2.cols"], {cols_name: shape}))
-        store.update(_cut(store["dec2.cols"], dx, start=max(map(math.prod, dgrad_cols.values()))))
-        routed = {f"{pool}.routed": store[f"{act}.out"].shape for pool, act in (("pool1", "enc1"), ("pool2", "enc2"))}
-        store.update(_cut(store["dec1.cols"], routed))
         for head, feat, _ in _HEADS:
             store[f"dfeat.{head}"] = np.empty_like(store[f"{feat}.out"])
             store[f"dz.{head}"] = np.empty_like(store[f"{feat}.out"][..., :1])
-        for head in ("lower", "middle"):
-            store[f"up.{head}"] = np.empty_like(store[f"dfeat.{head}"])
+        dx.update({f"up.{head}": store[f"dfeat.{head}"].shape for head in ("middle", "lower")})
+        store.update(_cut(store["dec2.cols"], dx, start=max(map(math.prod, dgrad_cols.values()))))
+        routed = {f"{pool}.routed": store[f"{act}.out"].shape for pool, act in (("pool1", "enc1"), ("pool2", "enc2"))}
+        store.update(_cut(store["dec1.cols"], routed))
         for pool, pooled in (("pool1", "enc2"), ("pool2", "bottleneck")):
             window_shape = store[f"{pooled}.in"][:, 1:-1, 1:-1].shape
             store[f"{pool}.hit"] = np.empty(window_shape, bool)
@@ -780,7 +782,10 @@ def train(
     determined by cfg.seed.  Descent runs in float32 for speed
     (deterministic; parameters are stored in float64 at the API boundary).
     Every step runs on one step plan, sized by the first (largest) batch; a
-    smaller tail batch takes ``[:n]`` views of its buffers.  The parameters
+    smaller tail batch takes ``[:n]`` views of its buffers.  A step casts
+    its samples to float32 straight into the plan, each image into the
+    interior of the first conv's bordered input and each mask into the
+    targets, so no copy of the labeled set is made.  The parameters
     and their gradients are two flat float32 vectors, conv kernels in gemm
     layout, and the descent step updates them in place.  After each epoch a
     non-finite parameter raises ``TrainingDiverged``, naming the epoch and
@@ -799,10 +804,6 @@ def train(
         raise ValueError(f"training images must have dimensions divisible by {RASTER_MULTIPLE}, got {h}x{wdt}")
 
     object.__setattr__(params, "_inference", None)
-    # images with the zero border of the first conv, so a batch is one gather
-    images = np.zeros((len(labeled_set), h + 2, wdt + 2, 1), np.float32)
-    images[:, 1:-1, 1:-1, 0] = np.stack([img.values for img, _ in labeled_set])
-    targets = np.stack([m.values for _, m in labeled_set]).astype(np.float32)[:, :, :, None]
     rng = np.random.default_rng(cfg.seed)
     flat = _gemm_params(params.tensors, np.float32)
     grad = np.empty_like(flat)
@@ -817,8 +818,10 @@ def train(
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 plan = plans.get(len(batch)) or plans.setdefault(len(batch), full.batch(len(batch)))
-                np.take(images, batch, axis=0, out=plan.bordered_x)
-                np.take(targets, batch, axis=0, out=plan.t)
+                for j, i in enumerate(batch):
+                    image, mask = labeled_set[i]
+                    plan.x[j, :, :, 0] = image.values
+                    plan.t[j, :, :, 0] = mask.values
                 plan.step(work, grads, plan.t, w, cfg.loss_kind)
                 grad *= lr  # flat -= lr * grad, float for float
                 flat -= grad

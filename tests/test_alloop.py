@@ -275,7 +275,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("members", [0, 4])
     def test_even_ensemble_rejected_before_the_loop(self, members):
-        with pytest.raises(ValueError, match=f"ensemble size must be odd and >= 1, got {members}"):
+        with pytest.raises(ValueError, match=f"ensemble_size must be odd and >= 1, got {members}"):
             tiny_config(ensemble_size=members)
 
     def test_single_bin_rejected_before_the_loop(self):

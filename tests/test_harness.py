@@ -184,6 +184,18 @@ class TestConfigRoundtrip:
             parse_config_text("split.initial=0\noutput.dir=x\n")
         assert str(info.value) == "n_initial must be positive (config key split.initial)"
 
+    @pytest.mark.parametrize("text, message", [
+        ("ensemble.members=4\nal.bins=3\n", "ensemble_size must be odd and >= 1, got 4 (config key ensemble.members)"),
+        ("al.k_strong=-1\nal.bins=3\n", "k_strong must be nonnegative, got -1 (config key al.k_strong)"),
+        ("al.k_weak=-1\nal.k_strong=3\n", "k_weak must be nonnegative, got -1 (config key al.k_weak)"),
+        ("al.iterations=0\nensemble.members=3\n", "iterations must be >= 1, got 0 (config key al.iterations)"),
+        ("ensemble.rounds=-1\nal.bins=3\n", "ensemble_rounds must be nonnegative, got -1 (config key ensemble.rounds)"),
+    ])
+    def test_loop_error_names_only_the_key_of_its_field(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+
     def test_error_naming_no_field_names_every_key_of_its_section(self):
         with pytest.raises(ValueError) as info:
             parse_config_text("train.batch_size=0\ntrain.loss=soft_dice\nsplit.initial=3\n")
